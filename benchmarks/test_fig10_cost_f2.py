@@ -7,22 +7,16 @@ used, a cost reduction of up to 56% is achieved."
 
 import pytest
 
-from repro.bench.report import bar_table
+from repro.bench.figures import FIGURES, run_figure
 from repro.cluster import relative_costs
 
 
 def test_fig10(once):
-    costs = once(lambda: {p: relative_costs(p, 2) for p in ("aws", "gcp")})
+    run = once(lambda: run_figure(FIGURES["fig10"]))
+    costs = run.simulated
     labels = list(costs["aws"].keys())
     print()
-    print(
-        bar_table(
-            "Figure 10: cost relative to Raft-R (%), F=2, 100 groups",
-            labels,
-            {provider: [costs[provider][label] for label in labels] for provider in costs},
-            unit="% vs Raft-R",
-        )
-    )
+    print(FIGURES["fig10"].render(costs, run.params))
 
     for provider in ("aws", "gcp"):
         c = costs[provider]

@@ -11,82 +11,51 @@ the same way.
 
 import pytest
 
-from repro.bench import run_timeline, sift_spec
 from repro.bench.calibration import BenchScale
-from repro.bench.report import series_table, sparkline
-from repro.chaos import FaultSchedule
-from repro.sim.units import MS, SEC
-from repro.workloads import WORKLOADS
+from repro.bench.figures import FIGURES, run_figure
+from repro.sim.units import SEC
 
-KILL_AT = 0.6 * SEC
-RESTART_AT = 0.9 * SEC
-DURATION = 3.0 * SEC
-CLIENTS = 10
+KILL_AT = FIGURES["fig11sweep"].full["kill_at_us"]
+RESTART_AT = FIGURES["fig11sweep"].full["restart_at_us"]
 
 
 @pytest.fixture(scope="module")
-def timeline():
-    scale = BenchScale()
-    spec = sift_spec(cores=12, scale=scale)
-    recovered_at = []
+def sweep():
+    """The CLI's fig11sweep at full scale (0.6/0.9/3.0 s schedule, 10
+    clients): the fig11 timeline itself plus the recovery-time-vs-
+    partitions sweep behind it.
 
-    def watch_recovery(group):
-        def watch():
-            coordinator = group.serving_coordinator()
-            while coordinator.repmem.states[2] != "live":
-                yield group.fabric.sim.timeout(10 * MS)
-            recovered_at.append(group.fabric.sim.now)
-
-        group.fabric.sim.spawn(watch(), name="watch-recovery")
-
-    schedule = (
-        FaultSchedule()
-        .crash_memory_node(KILL_AT, 2)
-        .restart_memory_node(RESTART_AT, 2)
-        .probe(RESTART_AT, watch_recovery, "watch recovery")
-    )
-    result = run_timeline(
-        spec,
-        WORKLOADS["read-heavy"],
-        CLIENTS,
-        DURATION,
-        events=schedule,
-        scale=scale,
-    )
-    return result, recovered_at
+    The sweep runs at Fm = 2 so four live source links exist once one
+    node fails: RAMCloud-style partitioned recovery splits the dead
+    node's image across the sources, and aggregate copy bandwidth —
+    hence recovery time — scales with the partition count.
+    """
+    return run_figure(FIGURES["fig11sweep"], scale=BenchScale(), seed=1)
 
 
-def test_fig11(timeline, once):
-    result, recovered_at = once(lambda: timeline)
-    values = [ops for _t, ops in result.series]
+def test_fig11(sweep, once):
+    timeline = once(lambda: sweep.simulated["sift/memnode-failure"])
+    series = timeline["series"]
     print()
-    print(
-        series_table(
-            "Figure 11: read-heavy throughput during a memory node failure",
-            "seconds",
-            "ops/sec",
-            {"sift": result.series},
-        )
-    )
-    print("timeline:", sparkline(values))
-    print("events:", result.events, "recovery completed:", bool(recovered_at))
+    print(FIGURES["fig11"].render(timeline, sweep.params))
+    recovered_at = timeline["recovery_s"] is not None
 
-    pre = [ops for t, ops in result.series if 0.2 * SEC / 1e6 <= t < KILL_AT / 1e6]
+    pre = [ops for t, ops in series if 0.2 * SEC / 1e6 <= t < KILL_AT / 1e6]
     pre_mean = sum(pre) / len(pre)
 
     # The node must have fully rejoined within the run.
     assert recovered_at, "memory node never finished recovery"
 
-    # Rebase the absolute recovery timestamp into the series' frame.
-    recovery_s = (recovered_at[0] - result.base_us) / 1e6
+    # Already rebased into the series' frame (seconds).
+    recovery_s = timeline["recovery_s"]
     # The copy's contention straddles window boundaries: include the
     # window the restart lands in, not just windows starting after it.
     during = [
         ops
-        for t, ops in result.series
+        for t, ops in series
         if RESTART_AT / 1e6 - 0.1 <= t < recovery_s
     ]
-    post = [ops for t, ops in result.series if t >= recovery_s + 0.3]
+    post = [ops for t, ops in series if t >= recovery_s + 0.3]
     assert post, "no post-recovery windows measured"
     post_mean = sum(post) / len(post)
 
@@ -96,52 +65,26 @@ def test_fig11(timeline, once):
     # ...and "the system returns to its pre-failure throughput level".
     assert post_mean > 0.85 * pre_mean, (pre_mean, post_mean)
     # The group never stops serving entirely (reads keep flowing).
-    between = [ops for t, ops in result.series if KILL_AT / 1e6 <= t < recovery_s]
+    between = [ops for t, ops in series if KILL_AT / 1e6 <= t < recovery_s]
     assert min(between) > 0, "memory-node failure must not halt the group"
 
 
-@pytest.fixture(scope="module")
-def partition_sweep():
-    """The recovery-time-vs-partitions sweep behind the fig11sweep CLI
-    figure, at full benchmark scale.
-
-    Runs at Fm = 2 so four live source links exist once one node fails:
-    RAMCloud-style partitioned recovery splits the dead node's image
-    across the sources, and aggregate copy bandwidth — hence recovery
-    time — scales with the partition count.
-    """
-    from repro.bench.points import RECOVERY_SWEEP_PARTITIONS, _memnode_failure_run
-
-    scale = BenchScale()
-    return {
-        partitions: _memnode_failure_run(
-            False, scale, seed=0, f=2, recovery_partitions=partitions
-        )
-        for partitions in RECOVERY_SWEEP_PARTITIONS
-    }
-
-
-def test_fig11_partition_sweep(partition_sweep, once):
-    runs = once(lambda: partition_sweep)
+def test_fig11_partition_sweep(sweep, once):
+    runs = once(lambda: {
+        p: sweep.simulated[f"sift/recovery-f2-p{p}"] for p in sweep.params["partitions"]
+    })
     print()
-    for partitions, run in sorted(runs.items()):
-        copy = run["copy"] or {}
-        print(
-            f"partitions={partitions}: recovery {run['recovery_precise_s']:.4f}s, "
-            f"copy {copy.get('copy_us', 0) / 1000:.2f}ms via "
-            f"{len(copy.get('sources', []))} source links"
-        )
+    print(FIGURES["fig11sweep"].render(sweep.simulated, sweep.params))
 
     widths = sorted(runs)
     for partitions in widths:
         run = runs[partitions]
-        assert run["recovery_precise_s"] is not None, (
+        assert run["recovery_s"] is not None, (
             f"p={partitions} never finished recovery"
         )
-        assert run["copy"]["partitions"] == partitions
     # Every width rebuilds the same image...
-    sizes = {runs[p]["copy"]["bytes"] for p in widths}
+    sizes = {runs[p]["copy_bytes"] for p in widths}
     assert len(sizes) == 1, sizes
     # ...and each doubling of source links strictly shortens recovery.
-    times = [runs[p]["recovery_precise_s"] for p in widths]
+    times = [runs[p]["recovery_s"] for p in widths]
     assert all(a > b for a, b in zip(times, times[1:])), dict(zip(widths, times))

@@ -14,46 +14,30 @@ from the paper:
 * Sift EC sits slightly below Sift on writes (encoding cost).
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.bench import epaxos_spec, raft_spec, run_throughput, sift_spec
 from repro.bench.calibration import BenchScale
-from repro.bench.report import bar_table
-from repro.workloads import WORKLOADS
+from repro.bench.figures import FIGURES, run_figure
 
 MIXES = ["write-only", "mixed", "read-heavy", "read-only"]
-SAME_HARDWARE_CORES = 12
 
 
 @pytest.fixture(scope="module")
-def results():
-    scale = BenchScale()
-    specs = [
-        ("epaxos", epaxos_spec(cores=SAME_HARDWARE_CORES, scale=scale)),
-        ("sift-ec", sift_spec(erasure_coding=True, cores=SAME_HARDWARE_CORES, scale=scale)),
-        ("sift", sift_spec(cores=SAME_HARDWARE_CORES, scale=scale)),
-        ("raft-r", raft_spec(cores=SAME_HARDWARE_CORES, scale=scale)),
-    ]
-    out = {}
-    for name, spec in specs:
-        # Peak-throughput measurement: EPaxos spreads its clients evenly
-        # across all replicas (§6.3.1), so it is driven by 3x the client
-        # count that saturates the single-leader systems.
-        clients = scale.clients * 3 if name == "epaxos" else scale.clients
-        out[name] = {}
-        for mix in MIXES:
-            result = run_throughput(spec, WORKLOADS[mix], n_clients=clients, scale=scale)
-            out[name][mix] = result
-    return out
+def run():
+    # The CLI's fig5 at full scale: 12-core nodes for every system, and
+    # EPaxos driven by 3x the clients (it spreads them over all replicas).
+    return run_figure(FIGURES["fig5"], scale=BenchScale(), seed=1)
 
 
-def test_fig5(results, once):
-    table = {
-        name: [results[name][mix].ops_per_sec for mix in MIXES]
-        for name in ("epaxos", "sift-ec", "sift", "raft-r")
-    }
+def test_fig5(run, once):
     print()
-    print(once(lambda: bar_table("Figure 5: throughput by workload (F=1)", MIXES, table)))
+    print(once(lambda: FIGURES["fig5"].render(run.simulated, run.params)))
+    results = {
+        name: {mix: SimpleNamespace(**cell) for mix, cell in cells.items()}
+        for name, cells in run.simulated.items()
+    }
 
     def tput(name, mix):
         return results[name][mix].ops_per_sec

@@ -15,62 +15,28 @@ Shape targets from §6.3.3:
 * ~50 us of everything is the RPC layer.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.bench import epaxos_spec, raft_spec, run_latency, sift_spec
 from repro.bench.calibration import BenchScale
-from repro.bench.report import series_table
-from repro.workloads import WORKLOADS
-
-SAME_HARDWARE_CORES = 12
-HIGH_LOAD_CLIENTS = 28  # ~90% of the saturation client count
+from repro.bench.figures import FIGURES, run_figure
 
 
 @pytest.fixture(scope="module")
-def results():
-    scale = BenchScale()
-    specs = {
-        "raft-r": raft_spec(cores=SAME_HARDWARE_CORES, scale=scale),
-        "sift": sift_spec(cores=SAME_HARDWARE_CORES, scale=scale),
-        "sift-ec": sift_spec(erasure_coding=True, cores=SAME_HARDWARE_CORES, scale=scale),
-        "epaxos": epaxos_spec(cores=SAME_HARDWARE_CORES, scale=scale),
-    }
-    out = {}
-    for name, spec in specs.items():
-        out[name] = {
-            "low": run_latency(spec, WORKLOADS["mixed"], 1, scale=scale),
-            "high": run_latency(spec, WORKLOADS["mixed"], HIGH_LOAD_CLIENTS, scale=scale),
-        }
-    return out
+def run():
+    # The CLI's fig6 at full scale: 12-core nodes, 1 client and 28
+    # (~90% of the saturation client count).
+    return run_figure(FIGURES["fig6"], scale=BenchScale(), seed=1)
 
 
-def test_fig6(results, once):
-    rows = []
-    for name, data in results.items():
-        for load in ("low", "high"):
-            r = data[load]
-            rows.append(
-                (
-                    f"{name}/{load}",
-                    [
-                        (1, r.read_p50 or 0.0),
-                        (2, r.read_p95 or 0.0),
-                        (3, r.write_p50 or 0.0),
-                        (4, r.write_p95 or 0.0),
-                    ],
-                )
-            )
+def test_fig6(run, once):
     print()
-    print(
-        once(
-            lambda: series_table(
-                "Figure 6: latency (us) at 1 client and ~90% load",
-                "metric (1=read p50, 2=read p95, 3=write p50, 4=write p95)",
-                "microseconds",
-                dict(rows),
-            )
-        )
-    )
+    print(once(lambda: FIGURES["fig6"].render(run.simulated, run.params)))
+    results = {
+        name: {load: SimpleNamespace(**cell) for load, cell in loads.items()}
+        for name, loads in run.simulated.items()
+    }
 
     low = {name: results[name]["low"] for name in results}
     high = {name: results[name]["high"] for name in results}

@@ -15,45 +15,28 @@ import os
 
 import pytest
 
-from repro.bench.report import series_table
-from repro.cluster.backups import sweep_backup_pool
+from repro.bench.figures import FIGURES, run_figure
 
-GROUP_COUNTS = [10, 100, 500, 1000, 2000, 3000]
-BACKUP_COUNTS = [0, 2, 4, 6, 8, 12, 16, 20]
+GROUP_COUNTS = FIGURES["fig8"].full["groups"]
 REPETITIONS = int(os.environ.get("REPRO_BENCH_FIG8_REPS", "10"))
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    return sweep_backup_pool(GROUP_COUNTS, BACKUP_COUNTS, repetitions=REPETITIONS)
+def run():
+    return run_figure(FIGURES["fig8"], overrides={"repetitions": REPETITIONS})
 
 
-def test_fig8(sweep, once):
-    series = {
-        f"{groups} groups": [
-            (cell.backups, cell.recovery_time_per_fault_s) for cell in row
-        ]
-        for groups, row in sweep.items()
-    }
+def test_fig8(run, once):
     print()
-    print(
-        once(
-            lambda: series_table(
-                f"Figure 8: recovery time per fault vs. backup pool "
-                f"({REPETITIONS} repetitions)",
-                "backup nodes",
-                "seconds per fault",
-                series,
-            )
-        )
-    )
+    print(once(lambda: FIGURES["fig8"].render(run.simulated, run.params)))
+    # {groups: [(backups, seconds per fault), ...]}, backups ascending.
+    sweep = {int(name.split()[0]): rows for name, rows in run.simulated.items()}
 
     def value(groups, backups):
-        return dict((c.backups, c.recovery_time_per_fault_s) for c in sweep[groups])[backups]
+        return dict(sweep[groups])[backups]
 
-    # Monotone in the pool size for every group count.
     for groups, row in sweep.items():
-        times = [cell.recovery_time_per_fault_s for cell in row]
+        times = [seconds for _backups, seconds in row]
         for earlier, later in zip(times, times[1:]):
             assert later <= earlier + 1e-9, (groups, times)
 

@@ -11,22 +11,14 @@ shared backups reach ~35% savings.
 
 import pytest
 
-from repro.bench.report import bar_table
-from repro.cluster import relative_costs
+from repro.bench.figures import FIGURES, run_figure
 
 
 def test_fig9(once):
-    costs = once(lambda: {p: relative_costs(p, 1) for p in ("aws", "gcp")})
-    labels = list(costs["aws"].keys())
+    run = once(lambda: run_figure(FIGURES["fig9"]))
+    costs = run.simulated
     print()
-    print(
-        bar_table(
-            "Figure 9: cost relative to Raft-R (%), F=1, 100 groups",
-            labels,
-            {provider: [costs[provider][label] for label in labels] for provider in costs},
-            unit="% vs Raft-R",
-        )
-    )
+    print(FIGURES["fig9"].render(costs, run.params))
 
     for provider in ("aws", "gcp"):
         c = costs[provider]

@@ -10,22 +10,16 @@ property the paper used to call the provisioning "normalized".
 """
 
 
-from repro.bench import raft_spec, run_throughput, sift_spec
 from repro.bench.calibration import BenchScale
+from repro.bench.figures import FIGURES
+from repro.bench.points import throughput_point
 from repro.bench.report import kv_table
-from repro.cluster.provision import TABLE2, TARGET_THROUGHPUT, machine_table
-from repro.workloads import WORKLOADS
+from repro.cluster.provision import TABLE2
 
 
 def test_table2_values(once):
-    tables = once(lambda: {f: machine_table(f) for f in (1, 2)})
-    rows = []
-    for f in (1, 2):
-        rows.append((f"-- F={f} (target {TARGET_THROUGHPUT[f]:,} ops/s) --", ""))
-        for name, spec in tables[f]:
-            rows.append((name, f"{spec.cores} cores, {spec.memory_gb} GB"))
     print()
-    print(kv_table("Table 2: normalized machine configurations", rows))
+    print(once(lambda: FIGURES["table2"].render(None, {})))
 
     assert TABLE2[("raft", 1)]["node"].cores == 8
     assert TABLE2[("sift", 1)]["cpu"].cores == 10
@@ -38,24 +32,10 @@ def test_table2_values(once):
 def test_table2_normalisation_holds_in_simulation(once):
     """With Table 2 cores, the three systems land in one throughput band."""
     scale = BenchScale()
-
-    def run_all():
-        results = {}
-        results["raft-r"] = run_throughput(
-            raft_spec(cores=8, scale=scale), WORKLOADS["read-heavy"], scale=scale
-        )
-        results["sift"] = run_throughput(
-            sift_spec(cores=10, scale=scale), WORKLOADS["read-heavy"], scale=scale
-        )
-        results["sift-ec"] = run_throughput(
-            sift_spec(erasure_coding=True, cores=12, scale=scale),
-            WORKLOADS["read-heavy"],
-            scale=scale,
-        )
-        return results
-
-    results = once(run_all)
-    values = {name: r.ops_per_sec for name, r in results.items()}
+    values = once(lambda: {
+        name: throughput_point(name, "read-heavy", scale.clients, cores, scale, 1)["ops_per_sec"]
+        for name, cores in (("raft-r", 8), ("sift", 10), ("sift-ec", 12))
+    })
     print()
     print(kv_table("Read-heavy throughput at Table 2 core counts", [
         (name, f"{ops:,.0f} ops/s") for name, ops in values.items()

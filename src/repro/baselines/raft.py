@@ -5,7 +5,9 @@ complete replica on the leader.  Write requests are replicated to a
 majority of nodes (including the leader) before they are committed.
 Read requests are serviced locally from the leader's replica.  It uses a
 partitioned map with 1000 partitions to reduce contention and
-read/write locks to provide strong consistency."
+read/write locks to provide strong consistency."  Here the map is one
+dict: partition contention is charged through ``RaftCosts``, not
+modelled by the data structure.
 
 Every node is provisioned like the leader (that is the resource-coupling
 Sift attacks): a full in-memory replica plus enough cores to lead.
@@ -70,7 +72,6 @@ class RaftConfig:
 
     f: int = 1
     cores: int = 8  # Table 2: Raft-R nodes get 8 cores
-    partitions: int = 1000  # §6.3.1
     heartbeat_us: float = 2_000.0
     election_timeout_min_us: float = 12_000.0
     election_timeout_max_us: float = 24_000.0
@@ -164,10 +165,8 @@ class RaftNode:
         self._commit_waiters: Dict[int, List[Event]] = {}
         self._replicator_kicks: Dict[int, Event] = {}
 
-        # The replicated state machine: a partitioned map (§6.3.1).
-        self.partitions: List[Dict[bytes, bytes]] = [
-            {} for _ in range(self.config.partitions)
-        ]
+        # The replicated state machine (the paper's partitioned map).
+        self.store: Dict[bytes, bytes] = {}
         self.stats = {"puts": 0, "gets": 0, "applied": 0, "elections_won": 0}
 
     # ------------------------------------------------------------------
@@ -208,7 +207,7 @@ class RaftNode:
         self.match_index = {}
         self._commit_waiters = {}
         self._replicator_kicks = {}
-        self.partitions = [{} for _ in range(self.config.partitions)]
+        self.store = {}
         self.host.restart()
         self._last_heartbeat = self.sim.now
         self.start()
@@ -219,9 +218,6 @@ class RaftNode:
 
     def _last_term(self) -> int:
         return self.log[-1].term if self.log else 0
-
-    def _partition_of(self, key: bytes) -> Dict[bytes, bytes]:
-        return self.partitions[hash(key) % self.config.partitions]
 
     # ------------------------------------------------------------------
     # Client handlers
@@ -245,7 +241,7 @@ class RaftNode:
             raise NotLeader(self.leader_hint)
         yield self.host.execute(self.config.costs.op_us + self.config.costs.map_read_us)
         self.stats["gets"] += 1
-        value = self._partition_of(key).get(bytes(key))
+        value = self.store.get(bytes(key))
         if value is None:
             return Reply(("missing", None), 16)
         return Reply(("ok", value), 16 + len(value))
@@ -388,9 +384,9 @@ class RaftNode:
             yield self.host.execute(self.config.costs.apply_us)
             op = entry.op
             if op[0] == "put":
-                self._partition_of(op[1])[op[1]] = op[2]
+                self.store[op[1]] = op[2]
             elif op[0] == "delete":
-                self._partition_of(op[1]).pop(op[1], None)
+                self.store.pop(op[1], None)
             # "noop" entries exist only to commit earlier terms.
             self.stats["applied"] += 1
 
@@ -604,4 +600,4 @@ class RaftCluster:
         for key, value in items:
             key, value = bytes(key), bytes(value)
             for node in self.nodes:
-                node._partition_of(key)[key] = value
+                node.store[key] = value

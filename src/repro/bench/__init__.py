@@ -11,10 +11,16 @@ One module per concern:
 * :mod:`~repro.bench.metrics` — completion recording, percentiles,
   100 ms throughput windows.
 * :mod:`~repro.bench.report` — paper-style table and series rendering.
+* :mod:`~repro.bench.points` — picklable per-point experiment functions.
+* :mod:`~repro.bench.figures` — the figure registry: one ``Figure``
+  record per table/figure (params preset, point list, render, named
+  gates) and ``run_figure``, the one driver behind the CLI
+  (:mod:`~repro.bench.cli`), the committed baselines and CI.  Not
+  imported here: it pulls in every system.
 
 The ``benchmarks/`` directory contains one pytest-benchmark module per
-table/figure, each of which drives these pieces and prints the rows the
-paper reports.
+table/figure and prints the rows the paper reports; fig5, fig6 and
+fig11 take their results from the figure registry.
 """
 
 from repro.bench.calibration import BenchScale

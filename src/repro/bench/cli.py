@@ -2,17 +2,21 @@
 
 ``python -m repro.bench.cli <experiment>`` regenerates one of the
 paper's tables/figures (or an ablation) and prints it, without going
-through pytest.  Scale is controlled by the same ``REPRO_BENCH_*``
-environment variables the benchmarks use, or pinned with ``--smoke``.
+through pytest.  Every experiment is a record in the figure registry
+(:mod:`repro.bench.figures`); scale is controlled by the same
+``REPRO_BENCH_*`` environment variables the benchmarks use, or pinned
+with ``--smoke``.
 
-Every figure command also writes a versioned ``BENCH_<figure>.json``
-artifact (see :mod:`repro.obs.artifact`) into ``--out-dir``: the
-simulated numbers, a metrics-registry snapshot collected during the
-run, the seeds, the parameters, the git SHA and the wall clock.  CI's
-``bench-smoke`` job regenerates every figure in ``BASELINE_FIGURES``
-at ``--smoke`` scale and diffs them against ``benchmarks/baselines/``
-with :mod:`repro.obs.compare` (plus a byte-diff of the exported
-``TRACE_fig6path.json`` Perfetto trace).
+Every figure also writes a versioned ``BENCH_<figure>.json`` artifact
+(see :mod:`repro.obs.artifact`) into ``--out-dir``: the simulated
+numbers, the figure's named gate verdicts, a metrics-registry snapshot
+collected during the run, the seeds, the parameters, the git SHA and
+the wall clock.  Any failed gate makes the exit status 1.  CI's
+``bench-smoke`` job regenerates every committed
+``benchmarks/baselines/BENCH_*.json`` at ``--smoke`` scale and diffs
+them with :mod:`repro.obs.compare` (plus a byte-diff of the exported
+``TRACE_fig6path.json`` Perfetto trace); ``--refresh-baselines``
+rewrites exactly those files.
 
 Examples::
 
@@ -24,11 +28,10 @@ Examples::
     python -m repro.bench.cli fig5 --jobs 4   # fan points across processes
     python -m repro.bench.cli --refresh-baselines
 
-Figures made of independent points (fig5, fig6, fig11) accept
-``--jobs N`` to fan the points across worker processes via
-:mod:`repro.bench.parallel`; per-point metric registries are merged in
-declared point order, so the artifact is byte-identical at any job
-count.
+Figures made of independent points accept ``--jobs N`` to fan the
+points across worker processes via :mod:`repro.bench.parallel`;
+per-point metric registries are merged in declared point order, so the
+artifact is byte-identical at any job count.
 """
 
 from __future__ import annotations
@@ -38,603 +41,16 @@ import argparse
 import sys
 import time
 
-from repro.baselines import characteristics_table
-from repro.bench.calibration import SMOKE_SCALE, BenchScale
-from repro.bench.parallel import run_points
-from repro.bench.points import (
-    FIG5_SYSTEMS,
-    FIG6_SYSTEMS,
-    FIG5ABLATE_GRID,
-    TRACE_EXPORT_CELL,
-    TRACE_SPAN_CAP,
-    build_spec,
-    fig5_points,
-    fig5ablate_points,
-    fig6_points,
-    fig6path_points,
-    fig8live_params,
-    fig8live_points,
-    figHotspot_params,
-    figHotspot_points,
-    figMclients_params,
-    figMclients_points,
-    fig11_points,
-    fig11_timings,
-    fig11sweep_points,
-    RECOVERY_SWEEP_PARTITIONS,
-)
-from repro.bench.report import bar_table, kv_table, series_table, sparkline
-from repro.bench.runner import run_throughput
-from repro.cluster import relative_costs
-from repro.cluster.backups import sweep_backup_pool
-from repro.cluster.provision import TARGET_THROUGHPUT, machine_table
+from repro.bench.figures import BASELINE_FIGURES, FIGURES, run_figure
 from repro.obs.artifact import write_artifact
-from repro.obs.critpath import STAGES
-from repro.obs.export import write_chrome_trace
 from repro.obs.registry import MetricsRegistry, collecting
 from repro.workloads import WORKLOADS
 
 __all__ = ["main"]
 
-#: Figures the ``bench-smoke`` CI job pins against committed baselines.
-BASELINE_FIGURES = (
-    "fig5",
-    "fig5ablate",
-    "fig6",
-    "fig6path",
-    "fig11",
-    "fig11sweep",
-    "figHotspot",
-    "figMclients",
-)
-
 
 def _progress(key: str) -> None:
     print(f"  [{key}] done", file=sys.stderr)
-
-
-def _scale_params(scale: BenchScale) -> dict:
-    """The scale knobs, recorded verbatim into each artifact."""
-    return {
-        "keys": scale.keys,
-        "warmup_us": scale.warmup_us,
-        "measure_us": scale.measure_us,
-        "clients": scale.clients,
-        "value_bytes": scale.value_bytes,
-        "zipf_theta": scale.zipf_theta,
-        "wal_entries": scale.wal_entries,
-        "kv_wal_entries": scale.kv_wal_entries,
-    }
-
-
-# Each cmd_* returns None (no artifact: static tables) or a dict
-# ``{"simulated": ..., "params": ...}``; main() adds the registry
-# snapshot, seed, wall clock and scale, then writes BENCH_<figure>.json.
-
-
-def cmd_table1(_args, _scale):
-    print(characteristics_table())
-    return None
-
-
-def cmd_table2(_args, _scale):
-    rows = []
-    for f in (1, 2):
-        rows.append((f"-- F={f} (target {TARGET_THROUGHPUT[f]:,} ops/s) --", ""))
-        for name, spec in machine_table(f):
-            rows.append((name, f"{spec.cores} cores, {spec.memory_gb} GB"))
-    print(kv_table("Table 2: normalized machine configurations", rows))
-    return None
-
-
-def cmd_fig5(args, scale):
-    mixes = list(WORKLOADS)
-    results = run_points(fig5_points(scale, args.seed), jobs=args.jobs,
-                         progress=_progress)
-    simulated = {
-        name: {mix: results[f"{name}/{mix}"] for mix in mixes}
-        for name in FIG5_SYSTEMS
-    }
-    rows = {
-        name: [simulated[name][mix]["ops_per_sec"] for mix in mixes]
-        for name in FIG5_SYSTEMS
-    }
-    print(bar_table("Figure 5: throughput by workload (F=1)", mixes, rows))
-    return {
-        "simulated": simulated,
-        "params": {"cores": 12, "workloads": mixes},
-    }
-
-
-def cmd_fig6(args, scale):
-    # ~90% of the default 48-client saturation point; scaled down with
-    # the pinned smoke scale so the run stays a few hundred ms.
-    high_load_clients = 8 if args.smoke else 28
-    results = run_points(
-        fig6_points(scale, args.seed, high_load_clients), jobs=args.jobs,
-        progress=_progress,
-    )
-    simulated = {}
-    rows = []
-    for name in FIG6_SYSTEMS:
-        per_load = {}
-        for load in ("low", "high"):
-            r = results[f"{name}/{load}"]
-            per_load[load] = r
-            rows.append(
-                (
-                    f"{name}/{load}",
-                    [
-                        (1, r["read_p50"] or 0.0),
-                        (2, r["read_p95"] or 0.0),
-                        (3, r["write_p50"] or 0.0),
-                        (4, r["write_p95"] or 0.0),
-                    ],
-                )
-            )
-        simulated[name] = per_load
-    print(
-        series_table(
-            "Figure 6: latency (us) at 1 client and ~90% load",
-            "metric (1=read p50, 2=read p95, 3=write p50, 4=write p95)",
-            "microseconds",
-            dict(rows),
-        )
-    )
-    return {
-        "simulated": simulated,
-        "params": {"cores": 12, "high_load_clients": high_load_clients},
-    }
-
-
-def cmd_fig6path(args, scale):
-    """Fig. 6, traced: per-stage critical-path latency attribution.
-
-    Re-runs every fig6 cell with a tracer over the measurement window
-    and walks each committed operation's span tree into exclusive
-    per-stage segments (:mod:`repro.obs.critpath`).  The sift/low
-    cell's raw spans are also written as a Perfetto/Chrome trace
-    (``TRACE_fig6path.json``) next to the artifact.
-    """
-    high_load_clients = 8 if args.smoke else 28
-    results = run_points(
-        fig6path_points(scale, args.seed, high_load_clients), jobs=args.jobs,
-        progress=_progress,
-    )
-    simulated = {}
-    trace_spans = None
-    rows = []
-    for name in FIG6_SYSTEMS:
-        per_load = {}
-        for load in ("low", "high"):
-            cell = dict(results[f"{name}/{load}"])
-            spans = cell.pop("spans", None)
-            if spans is not None:
-                trace_spans = spans
-            per_load[load] = cell
-            for op, digest in cell["critical_path"].items():
-                agg = digest["aggregate"]
-                shares = "  ".join(
-                    f"{stage} {agg['stages'][stage]['share'] * 100.0:4.1f}%"
-                    for stage in STAGES
-                    if stage in agg["stages"]
-                )
-                rows.append(
-                    (
-                        f"{name}/{load} {op}",
-                        f"mean {agg['duration_us']['mean']:8.1f}us "
-                        f"({agg['count']} ops)  {shares}",
-                    )
-                )
-        simulated[name] = per_load
-    print(kv_table("Figure 6 (path): critical-path latency attribution", rows))
-    if trace_spans and not args.no_artifact:
-        os.makedirs(args.out_dir, exist_ok=True)
-        path = write_chrome_trace(
-            os.path.join(args.out_dir, "TRACE_fig6path.json"),
-            trace_spans,
-            process_name=f"repro {TRACE_EXPORT_CELL}",
-        )
-        print(f"  wrote {path} ({len(trace_spans)} spans)", file=sys.stderr)
-    return {
-        "simulated": simulated,
-        "params": {
-            "cores": 12,
-            "high_load_clients": high_load_clients,
-            "trace_cell": TRACE_EXPORT_CELL,
-            "trace_span_cap": TRACE_SPAN_CAP,
-        },
-    }
-
-
-def cmd_fig5ablate(args, scale):
-    """The batching ablation: WAL coalescing x doorbell batching.
-
-    Promotes perfbench's ``coalesced_fig5`` scenario to a committed
-    2x2 grid artifact — the full stack must beat each single layer,
-    which must beat the plain stack, on write-only throughput.
-    """
-    results = run_points(fig5ablate_points(scale, args.seed), jobs=args.jobs,
-                         progress=_progress)
-    simulated = {}
-    rows = []
-    plain = results["sift/plain"]["ops_per_sec"]
-    for key, _coalesce, _doorbell in FIG5ABLATE_GRID:
-        cell = results[f"sift/{key}"]
-        simulated[key] = cell
-        speedup = cell["ops_per_sec"] / plain if plain else 0.0
-        rows.append(
-            (
-                f"sift/{key}",
-                f"{cell['ops_per_sec']:12,.0f} ops/s  ({speedup:.3f}x plain)",
-            )
-        )
-    print(kv_table("Figure 5 (ablation): append coalescing x doorbell batching", rows))
-    full = simulated["coalesce+doorbell"]["ops_per_sec"]
-    if not full > plain:
-        print(
-            "WARNING: the full batching stack is not faster than the "
-            f"plain stack ({full:,.0f} <= {plain:,.0f} ops/s)",
-            file=sys.stderr,
-        )
-        args._failed = True
-    return {
-        "simulated": simulated,
-        "params": {
-            "cores": 12,
-            "workload": "write-only",
-            "clients": 24,
-            "grid": [list(entry) for entry in FIG5ABLATE_GRID],
-        },
-    }
-
-
-def cmd_fig8(_args, _scale):
-    groups = [10, 100, 500, 1000, 2000, 3000]
-    backups = [0, 2, 4, 6, 8, 12, 16, 20]
-    sweep = sweep_backup_pool(groups, backups, repetitions=10)
-    series = {
-        f"{g} groups": [(c.backups, c.recovery_time_per_fault_s) for c in row]
-        for g, row in sweep.items()
-    }
-    print(series_table("Figure 8: recovery time per fault", "backups", "s/fault", series))
-    return {
-        "simulated": {
-            name: [[b, v] for b, v in points] for name, points in series.items()
-        },
-        "params": {"groups": groups, "backups": backups, "repetitions": 10},
-    }
-
-
-def cmd_fig8live(args, scale):
-    """The live counterpart of fig8: real groups, a real promoting pool.
-
-    Where fig8 replays a failure trace through the capacity model, this
-    runs staggered coordinator crashes against a live
-    :class:`~repro.shard.ShardedKvService` and reconciles the measured
-    promotion waits with the same :class:`PoolAccountant` the model
-    uses.  ``--shards`` overrides the swept shard counts.
-    """
-    params = fig8live_params(args.smoke)
-    points = fig8live_points(scale, args.seed, args.smoke, shard_counts=args.shards)
-    results = run_points(points, jobs=args.jobs, progress=_progress)
-    rows = []
-    for point in points:
-        cell = results[point.key]
-        rows.append(
-            (
-                point.key,
-                f"live {cell['live_per_fault_us'] / 1e6:7.3f} s/fault  "
-                f"model {cell['model_per_fault_us'] / 1e6:7.3f} s/fault  "
-                f"{'agrees' if cell['agrees'] else 'DISAGREES'} "
-                f"(tolerance {cell['tolerance_us'] / 1e6:.3f} s)",
-            )
-        )
-    print(kv_table("Figure 8 (live): shared pool vs trace model", rows))
-    if not all(results[point.key]["agrees"] for point in points):
-        print("WARNING: live pool diverged from the trace model", file=sys.stderr)
-        args._failed = True  # main() turns this into a non-zero exit
-    return {
-        "simulated": {point.key: results[point.key] for point in points},
-        "params": {
-            "backups": params["backups"],
-            "provisioning_delay_us": params["provisioning_delay_us"],
-            "fault_gap_us": params["fault_gap_us"],
-            "repetitions": params["repetitions"],
-            "shards": [p.kwargs["shards"] for p in points],
-        },
-    }
-
-
-def cmd_figMclients(args, scale):
-    """Open-loop saturation sweep: a million-client population.
-
-    Sweeps the offered arrival rate from underload through the
-    saturation knee into firm overload against the sharded spec, driven
-    by the vectorized :class:`~repro.workloads.openloop.OpenLoopEngine`
-    (ROADMAP item 5: "heavy traffic from millions of users" as a
-    regression-gated artifact).  Gates: the population is at least one
-    million simulated clients, the underload point achieves its offered
-    rate without shedding, and the overload point sheds (admission
-    control working) while achieved throughput stays pinned at the
-    service's capacity rather than following the offered curve.
-    """
-    params = figMclients_params(args.smoke)
-    points = figMclients_points(scale, args.seed, args.smoke)
-    results = run_points(points, jobs=args.jobs, progress=_progress)
-    rows = []
-    for point in points:
-        cell = results[point.key]
-        shed_total = sum(cell["shed"].values())
-        p99s = "  ".join(
-            f"{shard} p99 {ops.get('read', ops.get('write', {})).get('p99', 0.0):7.0f}us"
-            for shard, ops in sorted(cell["slo"].items())
-        )
-        rows.append(
-            (
-                point.key,
-                f"offered {cell['offered_ops_per_sec']:9,.0f}  "
-                f"achieved {cell['achieved_ops_per_sec']:9,.0f} ops/s  "
-                f"shed {shed_total:6d}  err {cell['errors']:4d}  {p99s}",
-            )
-        )
-    print(kv_table("Figure Mclients: open-loop offered-load sweep", rows))
-    underload = results[points[0].key]
-    overload = results[points[-1].key]
-    if params["n_clients"] < 1_000_000:
-        print("WARNING: population below one million simulated clients",
-              file=sys.stderr)
-        args._failed = True
-    if sum(underload["shed"].values()) or (
-        underload["achieved_ops_per_sec"]
-        < 0.9 * underload["offered_ops_per_sec"]
-    ):
-        print("WARNING: the underload point shed or fell short of its "
-              "offered rate", file=sys.stderr)
-        args._failed = True
-    if not sum(overload["shed"].values()) or not (
-        overload["achieved_ops_per_sec"] < overload["offered_ops_per_sec"]
-    ):
-        print("WARNING: the overload point did not shed — admission "
-              "control is not engaging", file=sys.stderr)
-        args._failed = True
-    for point in points:
-        if not results[point.key]["slo"]:
-            print(f"WARNING: {point.key} recorded no SLO histograms",
-                  file=sys.stderr)
-            args._failed = True
-    return {
-        "simulated": {point.key: results[point.key] for point in points},
-        "params": {
-            "cores": 12,
-            "shards": params["shards"],
-            "workload": params["workload"],
-            "n_clients": params["n_clients"],
-            "base_ops_per_sec": params["base_ops_per_sec"],
-            "levels": params["levels"],
-            "max_inflight": params["max_inflight"],
-            "queue_limit": params["queue_limit"],
-            "throttle_ratio": params["throttle_ratio"],
-            "window_us": params["window_us"],
-        },
-    }
-
-
-def cmd_figHotspot(args, scale):
-    """Elastic control plane under a mid-run hotspot shift.
-
-    Two cells share one seed and one scenario — a warmup coordinator
-    fault burst, then a Zipf hotspot retargeted onto one shard at fixed
-    offered load — and differ only in the control plane: *static* keeps
-    a peak-provisioned backup pool and fixed topology, *autoscaled*
-    starts lean and must reconcile (resize the pool from the observed
-    burst, split the hot shard under live load).  Gates: after the
-    shift the autoscaled cell's worst p99.9 strictly beats the static
-    cell's; its pool cost stays below static peak provisioning; the
-    reconciler actually split and resized; both cells lose zero acked
-    writes and pass the linearizability check across the migration.
-    """
-    params = figHotspot_params(args.smoke)
-    points = figHotspot_points(scale, args.seed, args.smoke)
-    results = run_points(points, jobs=args.jobs, progress=_progress)
-    rows = []
-    for point in points:
-        cell = results[point.key]
-        rows.append(
-            (
-                point.key,
-                f"after p99.9 {cell['tails']['after']['p99.9']:8.0f}us  "
-                f"pool {cell['pool']['vm_seconds']:5.2f} VM-s  "
-                f"shards {cell['control']['shards']}  "
-                f"splits {cell['control']['splits']}  "
-                f"lost {cell['probe']['lost'] + cell['probe']['missing']}  "
-                f"lincheck {'ok' if cell['probe']['lincheck_ok'] else 'FAIL'}",
-            )
-        )
-    print(kv_table("Figure Hotspot: elastic vs static under a load shift", rows))
-    static = results[points[0].key]
-    auto = results[points[1].key]
-    if not (
-        auto["tails"]["after"]["p99.9"] < static["tails"]["after"]["p99.9"]
-    ):
-        print("WARNING: the autoscaled cell's post-shift p99.9 does not "
-              "beat the static cell's", file=sys.stderr)
-        args._failed = True
-    if not auto["pool"]["vm_seconds"] < static["pool"]["vm_seconds"]:
-        print("WARNING: the autoscaled pool cost is not below static peak "
-              "provisioning", file=sys.stderr)
-        args._failed = True
-    if auto["control"]["splits"] < 1 or auto["control"]["ring_version"] < 1:
-        print("WARNING: the reconciler never split the hot shard",
-              file=sys.stderr)
-        args._failed = True
-    if auto["control"]["pool_resizes"] < 1:
-        print("WARNING: the reconciler never resized the pool",
-              file=sys.stderr)
-        args._failed = True
-    for point in points:
-        cell = results[point.key]
-        if cell["probe"]["lost"] or cell["probe"]["missing"]:
-            print(f"WARNING: {point.key} lost acked writes",
-                  file=sys.stderr)
-            args._failed = True
-        if not cell["probe"]["lincheck_ok"]:
-            print(f"WARNING: {point.key} failed the linearizability check "
-                  f"(key {cell['probe']['offending_key']})", file=sys.stderr)
-            args._failed = True
-    return {
-        "simulated": {point.key: results[point.key] for point in points},
-        "params": {"cores": 12, **{k: v for k, v in params.items()}},
-    }
-
-
-def cmd_fig9(_args, _scale):
-    costs = {p: relative_costs(p, 1) for p in ("aws", "gcp")}
-    labels = list(costs["aws"])
-    print(bar_table(
-        "Figure 9: cost vs Raft-R (%), F=1", labels,
-        {p: [costs[p][l] for l in labels] for p in costs}, unit="%",
-    ))
-    return {"simulated": costs, "params": {"f": 1}}
-
-
-def cmd_fig10(_args, _scale):
-    costs = {p: relative_costs(p, 2) for p in ("aws", "gcp")}
-    labels = list(costs["aws"])
-    print(bar_table(
-        "Figure 10: cost vs Raft-R (%), F=2", labels,
-        {p: [costs[p][l] for l in labels] for p in costs}, unit="%",
-    ))
-    return {"simulated": costs, "params": {"f": 2}}
-
-
-def cmd_fig11(args, scale):
-    # One point: the timeline is a single run (see points.fig11_timings
-    # for the full-size vs --smoke schedules).
-    kill_at, restart_at, duration, clients = fig11_timings(args.smoke)
-    results = run_points(
-        fig11_points(scale, args.seed, args.smoke), jobs=args.jobs,
-        progress=_progress,
-    )
-    simulated = results["sift/memnode-failure"]
-    series = [(t, ops) for t, ops in simulated["series"]]
-    events = [(t, label) for t, label in simulated["events"]]
-    print(
-        series_table(
-            "Figure 11: read-heavy throughput during a memory node failure",
-            "seconds",
-            "ops/sec",
-            {"sift": series},
-        )
-    )
-    print("timeline:", sparkline([ops for _t, ops in series]))
-    print("events:", events, "recovery completed:",
-          simulated["recovery_s"] is not None)
-    return {
-        "simulated": simulated,
-        "params": {
-            "cores": 12,
-            "clients": clients,
-            "kill_at_us": kill_at,
-            "restart_at_us": restart_at,
-            "duration_us": duration,
-            "workload": "read-heavy",
-        },
-    }
-
-
-def cmd_fig11sweep(args, scale):
-    """Recovery time vs ``recovery_partitions`` (RAMCloud-style sweep).
-
-    Re-runs the fig11 timeline at Fm = 2 for each partition count and
-    gates on the RAMCloud property: recovery time must *strictly*
-    decrease as partitions grow, because each doubling doubles the
-    source links streaming the image back.  The ``sift/memnode-failure``
-    anchor point re-runs fig11 itself (Fm = 1, single stream) and must
-    match the fig11 artifact byte-for-byte.
-    """
-    kill_at, restart_at, duration, clients = fig11_timings(args.smoke)
-    points = fig11sweep_points(scale, args.seed, args.smoke)
-    results = run_points(points, jobs=args.jobs, progress=_progress)
-    rows = []
-    sweep_keys = [f"sift/recovery-f2-p{p}" for p in RECOVERY_SWEEP_PARTITIONS]
-    for key in sweep_keys:
-        cell = results[key]
-        copy_ms = (cell["copy_us"] or 0) / 1e3
-        rows.append(
-            (
-                key,
-                f"recovery {cell['recovery_s']:7.3f} s   "
-                f"copy {copy_ms:8.3f} ms   "
-                f"sources {len(cell['sources'] or [])}",
-            )
-        )
-    print(kv_table("Figure 11 sweep: recovery time vs partitions (Fm=2)", rows))
-    recovery_times = [results[key]["recovery_s"] for key in sweep_keys]
-    if any(t is None for t in recovery_times):
-        print("WARNING: a sweep point never finished recovery", file=sys.stderr)
-        args._failed = True
-    elif not all(a > b for a, b in zip(recovery_times, recovery_times[1:])):
-        print(
-            "WARNING: recovery time is not strictly decreasing in "
-            f"partitions: {recovery_times}",
-            file=sys.stderr,
-        )
-        args._failed = True
-    return {
-        "simulated": {point.key: results[point.key] for point in points},
-        "params": {
-            "f": 2,
-            "cores": 12,
-            "clients": clients,
-            "kill_at_us": kill_at,
-            "restart_at_us": restart_at,
-            "duration_us": duration,
-            "workload": "read-heavy",
-            "partitions": list(RECOVERY_SWEEP_PARTITIONS),
-        },
-    }
-
-
-def cmd_throughput(args, scale):
-    spec = build_spec(args.system, scale, cores=args.cores)
-    result = run_throughput(
-        spec, WORKLOADS[args.workload], scale=scale, seed=args.seed
-    )
-    print(kv_table(
-        f"{args.system} / {args.workload}",
-        [("throughput", f"{result.ops_per_sec:,.0f} ops/s"),
-         ("completed", str(result.completed)),
-         ("errors", str(result.errors))],
-    ))
-    return {
-        "simulated": {
-            "ops_per_sec": result.ops_per_sec,
-            "completed": result.completed,
-            "errors": result.errors,
-        },
-        "params": {"system": args.system, "workload": args.workload,
-                   "cores": args.cores},
-    }
-
-
-COMMANDS = {
-    "table1": cmd_table1,
-    "table2": cmd_table2,
-    "fig5": cmd_fig5,
-    "fig5ablate": cmd_fig5ablate,
-    "fig6": cmd_fig6,
-    "fig6path": cmd_fig6path,
-    "fig8": cmd_fig8,
-    "fig8live": cmd_fig8live,
-    "figHotspot": cmd_figHotspot,
-    "figMclients": cmd_figMclients,
-    "fig9": cmd_fig9,
-    "fig10": cmd_fig10,
-    "fig11": cmd_fig11,
-    "fig11sweep": cmd_fig11sweep,
-    "throughput": cmd_throughput,
-}
 
 
 def _baselines_dir() -> str:
@@ -644,29 +60,48 @@ def _baselines_dir() -> str:
     return os.path.join(root, "benchmarks", "baselines")
 
 
-def _run_one(name: str, args, scale: BenchScale):
-    """Run one experiment under a fresh registry; write its artifact."""
-    command = COMMANDS[name]
+def _run_one(name: str, args) -> bool:
+    """Run one experiment under a fresh registry; write its artifact.
+
+    Returns True when every gate passed.
+    """
+    figure = FIGURES[name]
+    overrides = {
+        option: getattr(args, option)
+        for option in figure.options
+        if getattr(args, option) is not None
+    }
     registry = MetricsRegistry()
     started = time.monotonic()
     with collecting(registry):
-        payload = command(args, scale)
+        run = run_figure(
+            figure,
+            smoke=args.smoke,
+            seed=args.seed,
+            jobs=args.jobs,
+            overrides=overrides,
+            out_dir=None if args.no_artifact else args.out_dir,
+            progress=_progress,
+        )
     wall_clock_s = time.monotonic() - started
-    if payload is None or args.no_artifact:
-        return None
-    params = dict(payload.get("params") or {})
-    params["scale"] = _scale_params(scale)
-    path = write_artifact(
-        args.out_dir,
-        name,
-        payload["simulated"],
-        seeds=[args.seed],
-        params=params,
-        registry=registry,
-        wall_clock_s=wall_clock_s,
-    )
-    print(f"  wrote {path}", file=sys.stderr)
-    return path
+    print(figure.render(run.simulated, run.params))
+    failed = {gate: result for gate, result in run.gates.items() if not result["pass"]}
+    for gate, result in failed.items():
+        print(f"GATE FAILED {name}.{gate}: observed {result['observed']!r}, "
+              f"bound {result['bound']!r}", file=sys.stderr)
+    if run.simulated is not None and not args.no_artifact:
+        path = write_artifact(
+            args.out_dir,
+            name,
+            run.simulated,
+            seeds=[args.seed],
+            params=run.params,
+            gates=run.gates,
+            registry=registry,
+            wall_clock_s=wall_clock_s,
+        )
+        print(f"  wrote {path}", file=sys.stderr)
+    return not failed
 
 
 def main(argv=None) -> int:
@@ -676,7 +111,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "experiments", nargs="*",
-        help=f"one or more of: {', '.join(COMMANDS)} "
+        help=f"one or more of: {', '.join(FIGURES)} "
              "(fig7/fig12 run via pytest benchmarks/)",
     )
     parser.add_argument("--system", default="sift",
@@ -716,13 +151,14 @@ def main(argv=None) -> int:
         if not experiments:
             parser.error("no experiments given")
 
-    scale = SMOKE_SCALE if args.smoke else BenchScale()
     for experiment in experiments:
-        if experiment not in COMMANDS:
+        if experiment not in FIGURES:
             parser.error(f"unknown experiment: {experiment}")
-        _run_one(experiment, args, scale)
+    passed = True
+    for experiment in experiments:
+        passed = _run_one(experiment, args) and passed
         print()
-    return 1 if getattr(args, "_failed", False) else 0
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

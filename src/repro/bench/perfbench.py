@@ -43,16 +43,16 @@ import gc
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.bench import runner
 from repro.bench.calibration import SMOKE_SCALE
-from repro.bench.parallel import Point, run_points
-from repro.bench.points import throughput_point
+from repro.bench.figures import FIGURES
+from repro.bench.parallel import run_points
+from repro.bench.points import ablate_point, throughput_point
 from repro.bench.report import kv_table
-from repro.bench.runner import run_throughput
-from repro.bench.systems import sift_spec
 from repro.net.fabric import Fabric
 from repro.obs.artifact import write_perf_artifact
 from repro.rdma.listener import RdmaListener
@@ -68,17 +68,36 @@ __all__ = ["main", "run_perfbench", "load_floors", "check_floors"]
 ENGINES = {"fast": engine.Simulator, "reference": reference.Simulator}
 
 
+def _interleaved(runs: Dict[Any, Callable[[], Any]], repeat: int):
+    """Best-of-*repeat* wall time of every run, interleaved within each
+    repetition (A/B/A/B...) so slow drift in host load biases no side.
+
+    Returns ``({key: result of the last run}, {key: best wall seconds})``.
+    """
+    results: Dict[Any, Any] = {}
+    walls = {key: float("inf") for key in runs}
+    for _ in range(repeat):
+        for key, fn in runs.items():
+            gc.collect()
+            started = time.perf_counter()
+            results[key] = fn()
+            walls[key] = min(walls[key], time.perf_counter() - started)
+    return results, walls
+
+
+def _engines_agree(fast: dict, ref: dict, what: str) -> None:
+    """The A/B guarantee: both engines simulate identical numbers."""
+    keys = ("ops_per_sec", "completed", "errors")
+    if [fast[k] for k in keys] != [ref[k] for k in keys]:
+        raise AssertionError(
+            f"engines disagree on simulated numbers{what}: fast={fast} reference={ref}"
+        )
+
+
 def _timed(fn: Callable[[], int], repeat: int) -> Dict[str, float]:
     """Best-of-*repeat* wall time for *fn*; returns work count and rates."""
-    best = float("inf")
-    count = 0
-    for _ in range(repeat):
-        gc.collect()
-        started = time.perf_counter()
-        count = fn()
-        elapsed = time.perf_counter() - started
-        best = min(best, elapsed)
-    return {"count": count, "wall_s": best, "per_s": count / best}
+    counts, walls = _interleaved({"fn": fn}, repeat)
+    return {"count": counts["fn"], "wall_s": walls["fn"], "per_s": counts["fn"] / walls["fn"]}
 
 
 # -- engine microbenchmarks --------------------------------------------------
@@ -198,15 +217,10 @@ ENGINE_BENCHES = {
 def _engine_section(n: int, repeat: int, log) -> Dict[str, Dict[str, float]]:
     section: Dict[str, Dict[str, float]] = {}
     for name, bench in ENGINE_BENCHES.items():
-        # Interleave the engines within each repetition (A/B/A/B...)
-        # so slow drift in host load biases neither side.
-        best = {label: float("inf") for label in ENGINES}
-        for _ in range(repeat):
-            for label, factory in ENGINES.items():
-                gc.collect()
-                started = time.perf_counter()
-                bench(factory, n)
-                best[label] = min(best[label], time.perf_counter() - started)
+        _, best = _interleaved(
+            {label: partial(bench, factory, n) for label, factory in ENGINES.items()},
+            repeat,
+        )
         row: Dict[str, float] = {"events": n}
         for label in ENGINES:
             row[f"{label}_wall_s"] = best[label]
@@ -248,50 +262,39 @@ def _rdma_loopback(n: int) -> int:
 # -- fig5 smoke driver A/B ---------------------------------------------------
 
 
-def _fig5_smoke(engine_name: str):
-    """One (sift, read-heavy) Figure 5 point on the given engine."""
+def _on_engine(engine_name: str, point: Callable[..., dict], **kwargs) -> dict:
+    """Run one smoke-scale point function on the given engine."""
     previous = runner.SIMULATOR_FACTORY
     runner.SIMULATOR_FACTORY = ENGINES[engine_name]
     try:
-        return run_throughput(
-            sift_spec(cores=12, scale=SMOKE_SCALE),
-            WORKLOADS["read-heavy"],
-            n_clients=SMOKE_SCALE.clients,
-            scale=SMOKE_SCALE,
-            seed=1,
-        )
+        return point(scale=SMOKE_SCALE, seed=1, **kwargs)
     finally:
         runner.SIMULATOR_FACTORY = previous
 
 
-def _fig5_section(repeat: int, log) -> Dict[str, object]:
-    results = {}
-    walls = {name: float("inf") for name in ENGINES}
-    for _ in range(repeat):  # engines interleaved per repetition
-        for name in ENGINES:
-            gc.collect()
-            started = time.perf_counter()
-            results[name] = _fig5_smoke(name)
-            walls[name] = min(walls[name], time.perf_counter() - started)
-    fast, ref = results["fast"], results["reference"]
-    identical = (fast.ops_per_sec, fast.completed, fast.errors) == (
-        ref.ops_per_sec, ref.completed, ref.errors
+def _fig5_smoke(engine_name: str) -> dict:
+    """One (sift, read-heavy) Figure 5 point on the given engine."""
+    return _on_engine(
+        engine_name, throughput_point, system="sift", workload="read-heavy",
+        clients=SMOKE_SCALE.clients, cores=12,
     )
-    if not identical:
-        raise AssertionError(
-            f"engines disagree on simulated numbers: fast={fast} reference={ref}"
-        )
+
+
+def _fig5_section(repeat: int, log) -> Dict[str, object]:
+    results, walls = _interleaved({name: partial(_fig5_smoke, name) for name in ENGINES}, repeat)
+    fast = results["fast"]
+    _engines_agree(fast, results["reference"], "")
     section = {
         "system": "sift",
         "workload": "read-heavy",
-        "simulated_ops_per_sec": fast.ops_per_sec,
-        "completed": fast.completed,
+        "simulated_ops_per_sec": fast["ops_per_sec"],
+        "completed": fast["completed"],
         "fast_wall_s": walls["fast"],
         "reference_wall_s": walls["reference"],
-        "fast_driver_ops_per_s": fast.completed / walls["fast"],
-        "reference_driver_ops_per_s": fast.completed / walls["reference"],
+        "fast_driver_ops_per_s": fast["completed"] / walls["fast"],
+        "reference_driver_ops_per_s": fast["completed"] / walls["reference"],
         "speedup": walls["reference"] / walls["fast"],
-        "simulated_identical": identical,
+        "simulated_identical": True,
     }
     log(f"fig5-smoke: {section['fast_driver_ops_per_s']:,.0f} ops/s driven "
         f"({section['speedup']:.2f}x vs reference engine)")
@@ -304,27 +307,13 @@ COALESCED_WORKLOAD = "write-only"
 COALESCED_CLIENTS = 24
 
 
-def _coalesced_point(engine_name: str, coalesced: bool):
+def _coalesced_point(engine_name: str, coalesced: bool) -> dict:
     """One write-only Figure 5 point; *coalesced* turns on the batching
     stack (doorbell verb flushes + WAL-append coalescing)."""
-    previous = runner.SIMULATOR_FACTORY
-    runner.SIMULATOR_FACTORY = ENGINES[engine_name]
-    try:
-        spec = sift_spec(
-            cores=12,
-            scale=SMOKE_SCALE,
-            kv_overrides={"coalesce_appends": True} if coalesced else None,
-            sift_overrides={"doorbell_batching": True} if coalesced else None,
-        )
-        return run_throughput(
-            spec,
-            WORKLOADS[COALESCED_WORKLOAD],
-            n_clients=COALESCED_CLIENTS,
-            scale=SMOKE_SCALE,
-            seed=1,
-        )
-    finally:
-        runner.SIMULATOR_FACTORY = previous
+    return _on_engine(
+        engine_name, ablate_point, coalesce=coalesced, doorbell=coalesced,
+        workload=COALESCED_WORKLOAD, clients=COALESCED_CLIENTS,
+    )
 
 
 def _coalesced_fig5_section(repeat: int, log) -> Dict[str, object]:
@@ -339,32 +328,20 @@ def _coalesced_fig5_section(repeat: int, log) -> Dict[str, object]:
     driving the same workload.
     """
     grid = [(name, mode) for name in ENGINES for mode in (False, True)]
-    results: Dict[tuple, object] = {}
-    walls = {key: float("inf") for key in grid}
-    for _ in range(repeat):  # engines and stacks interleaved per repetition
-        for key in grid:
-            gc.collect()
-            started = time.perf_counter()
-            results[key] = _coalesced_point(*key)
-            walls[key] = min(walls[key], time.perf_counter() - started)
+    results, walls = _interleaved({key: partial(_coalesced_point, *key) for key in grid}, repeat)
     for mode in (False, True):
-        fast, ref = results[("fast", mode)], results[("reference", mode)]
-        if (fast.ops_per_sec, fast.completed, fast.errors) != (
-            ref.ops_per_sec, ref.completed, ref.errors
-        ):
-            raise AssertionError(
-                f"engines disagree on simulated numbers (coalesced={mode}): "
-                f"fast={fast} reference={ref}"
-            )
+        _engines_agree(
+            results[("fast", mode)], results[("reference", mode)], f" (coalesced={mode})"
+        )
     plain = results[("fast", False)]
     coal = results[("fast", True)]
     section = {
         "system": "sift",
         "workload": COALESCED_WORKLOAD,
         "clients": COALESCED_CLIENTS,
-        "plain_ops_per_sec": plain.ops_per_sec,
-        "coalesced_ops_per_sec": coal.ops_per_sec,
-        "simulated_speedup": coal.ops_per_sec / plain.ops_per_sec,
+        "plain_ops_per_sec": plain["ops_per_sec"],
+        "coalesced_ops_per_sec": coal["ops_per_sec"],
+        "simulated_speedup": coal["ops_per_sec"] / plain["ops_per_sec"],
         "fast_plain_wall_s": walls[("fast", False)],
         "fast_coalesced_wall_s": walls[("fast", True)],
         "reference_plain_wall_s": walls[("reference", False)],
@@ -486,31 +463,15 @@ def _openloop_generator_section(arrivals: int, repeat: int, log) -> Dict[str, ob
 
 
 def _sweep_points():
-    return [
-        Point(
-            key=f"{system}/read-heavy",
-            fn=throughput_point,
-            kwargs={
-                "system": system,
-                "workload": "read-heavy",
-                "clients": SMOKE_SCALE.clients,
-                "cores": 12,
-                "scale": SMOKE_SCALE,
-                "seed": 1,
-            },
-        )
-        for system in ("sift", "raft-r")
-    ]
+    """fig5's (sift, read-heavy) and (raft-r, read-heavy) smoke points."""
+    points = FIGURES["fig5"].points({"cores": 12, "workloads": ["read-heavy"]}, SMOKE_SCALE, 1)
+    return [p for p in points if p.key in ("sift/read-heavy", "raft-r/read-heavy")]
 
 
 def _parallel_section(log) -> Dict[str, float]:
-    walls = {}
-    values = {}
-    for jobs in (1, 2):
-        gc.collect()
-        started = time.perf_counter()
-        values[jobs] = run_points(_sweep_points(), jobs=jobs)
-        walls[jobs] = time.perf_counter() - started
+    values, walls = _interleaved(
+        {jobs: partial(run_points, _sweep_points(), jobs=jobs) for jobs in (1, 2)}, 1
+    )
     if values[1] != values[2]:
         raise AssertionError(
             f"job counts disagree: jobs1={values[1]} jobs2={values[2]}"

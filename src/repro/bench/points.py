@@ -1,13 +1,12 @@
-"""Top-level point functions for the parallelisable figures.
+"""Top-level point functions for the bench figures.
 
 Each function here runs one independent experiment — one (system,
 workload) throughput cell, one (system, load) latency cell, one
 fault-injection timeline — and returns a plain JSON-shaped fragment.
 They are module-level and take only picklable keyword arguments so
 :mod:`repro.bench.parallel` can ship them to worker processes; the
-``figN_points`` builders declare each figure's full point list in the
-exact order the old serial loops ran, which is also the registry merge
-order and therefore part of the artifact contract.
+figure registry (:mod:`repro.bench.figures`) declares which points
+each figure runs, and in which order.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import List
 
 from repro.api import system_spec
 from repro.bench.calibration import BenchScale
-from repro.bench.parallel import Point
 from repro.bench.runner import (
     run_latency,
     run_openloop,
@@ -31,94 +29,44 @@ from repro.sim.units import MS, SEC
 from repro.workloads import WORKLOADS
 
 __all__ = [
-    "build_spec",
-    "FIG5_SYSTEMS",
-    "FIG6_SYSTEMS",
-    "FIG5ABLATE_GRID",
-    "TRACE_EXPORT_CELL",
-    "TRACE_SPAN_CAP",
     "ablate_point",
     "critpath_point",
-    "fig5_points",
-    "fig5ablate_points",
-    "fig6_points",
-    "fig6path_points",
-    "fig8live_params",
-    "fig8live_points",
-    "figHotspot_params",
-    "figHotspot_points",
-    "figMclients_params",
-    "figMclients_points",
     "hotspot_point",
-    "openloop_point",
-    "fig11_points",
-    "fig11_timings",
-    "fig11sweep_points",
-    "throughput_point",
     "latency_point",
     "live_pool_point",
     "memnode_failure_point",
+    "openloop_point",
     "recovery_sweep_point",
+    "throughput_point",
     "RECOVERY_SWEEP_PARTITIONS",
 ]
 
-#: Fig. 5 system order (slowest first, matching the paper's bar groups).
-FIG5_SYSTEMS = ("epaxos", "sift-ec", "sift", "raft-r")
-
-#: Fig. 6 system order.
-FIG6_SYSTEMS = ("raft-r", "sift", "sift-ec", "epaxos")
-
-
-def build_spec(name: str, scale: BenchScale, cores=None, **options):
-    """System spec by CLI name, via the :mod:`repro.api` dispatch."""
-    try:
-        return system_spec(name, scale=scale, cores=cores, **options)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-
 
 # -- point functions (top-level, picklable) ---------------------------------
+
+
+def _cell(result, drop=("system",)) -> dict:
+    """A runner result as a JSON cell, minus what the point key names."""
+    return {k: v for k, v in result._asdict().items() if k not in drop}
 
 
 def throughput_point(
     system: str, workload: str, clients: int, cores: int, scale: BenchScale, seed: int
 ) -> dict:
     """One Figure 5 cell: peak throughput of (system, workload)."""
-    spec = build_spec(system, scale, cores=cores)
+    spec = system_spec(system, scale=scale, cores=cores)
     result = run_throughput(
         spec, WORKLOADS[workload], n_clients=clients, scale=scale, seed=seed
     )
-    return {
-        "ops_per_sec": result.ops_per_sec,
-        "completed": result.completed,
-        "errors": result.errors,
-    }
+    return _cell(result, drop=("system", "workload"))
 
 
 def latency_point(
     system: str, workload: str, clients: int, cores: int, scale: BenchScale, seed: int
 ) -> dict:
     """One Figure 6 cell: latency percentiles at a fixed client count."""
-    spec = build_spec(system, scale, cores=cores)
-    r = run_latency(spec, WORKLOADS[workload], clients, scale=scale, seed=seed)
-    return {
-        "clients": clients,
-        "read_p50": r.read_p50,
-        "read_p95": r.read_p95,
-        "write_p50": r.write_p50,
-        "write_p95": r.write_p95,
-        "ops_per_sec": r.ops_per_sec,
-    }
-
-
-#: The one fig6path cell whose raw spans ride along for the committed
-#: Perfetto export (the paper's own system at its low-load point).
-TRACE_EXPORT_CELL = "sift/low"
-
-#: Spans kept for the export, in recording order.  A traced smoke
-#: window records tens of thousands of spans; the first N already cover
-#: many complete operations and keep the committed trace reviewable.
-TRACE_SPAN_CAP = 2000
+    spec = system_spec(system, scale=scale, cores=cores)
+    return _cell(run_latency(spec, WORKLOADS[workload], clients, scale=scale, seed=seed))
 
 
 def critpath_point(
@@ -141,7 +89,7 @@ def critpath_point(
     the first that-many raw span dicts ride along for the Perfetto
     export.
     """
-    spec = build_spec(system, scale, cores=cores)
+    spec = system_spec(system, scale=scale, cores=cores)
     tracer = Tracer()
     r = run_latency(
         spec, WORKLOADS[workload], clients, scale=scale, seed=seed, tracer=tracer
@@ -155,44 +103,6 @@ def critpath_point(
     if export_spans:
         out["spans"] = [s.to_dict() for s in tracer.spans[:export_spans]]
     return out
-
-
-def fig6path_points(
-    scale: BenchScale, seed: int, high_load_clients: int
-) -> List[Point]:
-    """The fig6 grid, traced: system-major, low load then high load."""
-    points = []
-    for system in FIG6_SYSTEMS:
-        for load, clients in (("low", 1), ("high", high_load_clients)):
-            key = f"{system}/{load}"
-            points.append(
-                Point(
-                    key=key,
-                    fn=critpath_point,
-                    kwargs={
-                        "system": system,
-                        "workload": "mixed",
-                        "clients": clients,
-                        "cores": 12,
-                        "scale": scale,
-                        "seed": seed,
-                        "export_spans": (
-                            TRACE_SPAN_CAP if key == TRACE_EXPORT_CELL else 0
-                        ),
-                    },
-                )
-            )
-    return points
-
-
-#: The fig5ablate grid, in declared (= merge) order: both batching
-#: layers off, each alone, then the full stack.
-FIG5ABLATE_GRID = (
-    ("plain", False, False),
-    ("doorbell", False, True),
-    ("coalesce", True, False),
-    ("coalesce+doorbell", True, True),
-)
 
 
 def ablate_point(
@@ -216,67 +126,30 @@ def ablate_point(
     result = run_throughput(
         spec, WORKLOADS[workload], n_clients=clients, scale=scale, seed=seed
     )
-    return {
-        "coalesce_appends": coalesce,
-        "doorbell_batching": doorbell,
-        "ops_per_sec": result.ops_per_sec,
-        "completed": result.completed,
-        "errors": result.errors,
-    }
-
-
-def fig5ablate_points(scale: BenchScale, seed: int) -> List[Point]:
-    """The 2x2 batching-ablation grid (write-only, 24 clients, as in
-    perfbench's coalesced_fig5)."""
-    points = []
-    for key, coalesce, doorbell in FIG5ABLATE_GRID:
-        points.append(
-            Point(
-                key=f"sift/{key}",
-                fn=ablate_point,
-                kwargs={
-                    "coalesce": coalesce,
-                    "doorbell": doorbell,
-                    "workload": "write-only",
-                    "clients": 24,
-                    "scale": scale,
-                    "seed": seed,
-                },
-            )
-        )
-    return points
-
-
-def fig11_timings(smoke: bool):
-    """(kill_at, restart_at, duration, clients) for the Fig. 11 schedule.
-
-    Full-size timings match ``benchmarks/test_fig11_memnode_failure.py``;
-    smoke compresses the schedule so CI sees the same three phases (dip,
-    copy-back contention, recovery) in ~1.5 simulated seconds.
-    """
-    if smoke:
-        return 0.3 * SEC, 0.45 * SEC, 1.5 * SEC, 6
-    return 0.6 * SEC, 0.9 * SEC, 3.0 * SEC, 10
+    return dict(
+        _cell(result, drop=("system", "workload")),
+        coalesce_appends=coalesce,
+        doorbell_batching=doorbell,
+    )
 
 
 def _memnode_failure_run(
-    smoke: bool,
+    timings,
     scale: BenchScale,
     seed: int,
     f: int = 1,
     recovery_partitions: int = 1,
-    timings=None,
 ) -> dict:
     """One Figure-11-style timeline: kill memory node 2, restart it,
     watch the copy-back finish.
 
-    Shared by the fig11 point (``f=1``, single-stream recovery — the
-    schedule must stay byte-identical to the pre-partitioning runs) and
-    the fig11sweep points (``f=2`` so four source links exist, sweeping
-    ``recovery_partitions``).  *timings* overrides the fig11 schedule
-    for tiny in-test runs.
+    *timings* is the ``(kill_at, restart_at, duration, clients)``
+    schedule.  Shared by the fig11 point (``f=1``, single-stream
+    recovery — the schedule must stay byte-identical to the
+    pre-partitioning runs) and the fig11sweep points (``f=2`` so four
+    source links exist, sweeping ``recovery_partitions``).
     """
-    kill_at, restart_at, duration, clients = timings or fig11_timings(smoke)
+    kill_at, restart_at, duration, clients = timings
     spec = sift_spec(
         f=f, cores=12, scale=scale, recovery_partitions=recovery_partitions
     )
@@ -331,10 +204,10 @@ def _memnode_failure_run(
     }
 
 
-def memnode_failure_point(smoke: bool, scale: BenchScale, seed: int) -> dict:
+def memnode_failure_point(timings, scale: BenchScale, seed: int) -> dict:
     """The Figure 11 timeline: kill memory node 2, restart it, watch
     the copy-back finish.  One point — the timeline is a single run."""
-    run = _memnode_failure_run(smoke, scale, seed)
+    run = _memnode_failure_run(timings, scale, seed)
     return {
         "series": run["series"],
         "events": run["events"],
@@ -351,13 +224,13 @@ RECOVERY_SWEEP_PARTITIONS = (1, 2, 4)
 
 
 def recovery_sweep_point(
-    smoke: bool, scale: BenchScale, seed: int, partitions: int
+    timings, scale: BenchScale, seed: int, partitions: int
 ) -> dict:
     """One fig11sweep cell: the fig11 timeline at Fm = 2 with
     ``recovery_partitions=partitions``, plus the copy-phase stats the
     partition count actually moves."""
     run = _memnode_failure_run(
-        smoke, scale, seed, f=2, recovery_partitions=partitions
+        timings, scale, seed, f=2, recovery_partitions=partitions
     )
     copy = run["copy"] or {}
     return {
@@ -495,58 +368,6 @@ def live_pool_point(
     }
 
 
-def fig8live_params(smoke: bool) -> dict:
-    """(backups, delay, faults-per-shard-count, gap, reps) for fig8live.
-
-    The gap is deliberately shorter than the provisioning delay so the
-    middle faults hit an exhausted pool and the *waiting* path — where
-    the live pool and the trace model can actually disagree — is
-    exercised, not just the idle-spare fast path.
-    """
-    if smoke:
-        return dict(
-            backups=1,
-            provisioning_delay_us=1.5 * SEC,
-            fault_gap_us=0.4 * SEC,
-            repetitions=2,
-            shard_counts=[2, 3],
-        )
-    return dict(
-        backups=1,
-        provisioning_delay_us=5 * SEC,
-        fault_gap_us=1.25 * SEC,
-        repetitions=3,
-        shard_counts=[2, 4],
-    )
-
-
-def fig8live_points(
-    scale: BenchScale, seed: int, smoke: bool, shard_counts=None
-) -> List[Point]:
-    """One point per shard count (the ``--shards`` sweep)."""
-    params = fig8live_params(smoke)
-    counts = list(shard_counts) if shard_counts else params["shard_counts"]
-    points = []
-    for shards in counts:
-        points.append(
-            Point(
-                key=f"sharded/{shards}",
-                fn=live_pool_point,
-                kwargs={
-                    "shards": shards,
-                    "backups": params["backups"],
-                    "provisioning_delay_us": params["provisioning_delay_us"],
-                    "faults": shards + 1,
-                    "fault_gap_us": params["fault_gap_us"],
-                    "repetitions": params["repetitions"],
-                    "scale": scale,
-                    "seed": seed,
-                },
-            )
-        )
-    return points
-
-
 def openloop_point(
     shards: int,
     workload: str,
@@ -570,7 +391,7 @@ def openloop_point(
     """
     from repro.workloads.openloop import AdmissionControl
 
-    spec = build_spec("sharded", scale, cores=12, shards=shards)
+    spec = system_spec("sharded", scale=scale, cores=12, shards=shards)
     result = run_openloop(
         spec,
         WORKLOADS[workload],
@@ -585,84 +406,7 @@ def openloop_point(
             rate_ops_per_sec=rate_ops_per_sec,
         ),
     )
-    return {
-        "offered_ops_per_sec": result.offered_ops_per_sec,
-        "achieved_ops_per_sec": result.achieved_ops_per_sec,
-        "generated": result.generated,
-        "admitted": result.admitted,
-        "completed": result.completed,
-        "errors": result.errors,
-        "retries": result.retries,
-        "shed": result.shed,
-        "clients_active": result.clients_active,
-        "clients_population": result.clients_population,
-        "inflight_peaks": result.inflight_peaks,
-        "slo": result.slo,
-    }
-
-
-def figMclients_params(smoke: bool) -> dict:
-    """The figMclients sweep preset.
-
-    ``base_ops_per_sec`` is the (empirically calibrated) saturation
-    throughput of the sharded smoke spec under the default in-flight
-    window; the swept multipliers take the service from comfortable
-    underload through the knee into firm overload, where the
-    token-bucket throttle (pinned at ``throttle_ratio`` x base) and the
-    bounded per-shard queues both shed.  The population is what the
-    north-star asks for: at least a million simulated clients.
-    """
-    if smoke:
-        return dict(
-            shards=2,
-            workload="read-heavy",
-            n_clients=1_000_000,
-            base_ops_per_sec=600_000.0,
-            levels=[["x0.25", 0.25], ["x0.75", 0.75], ["x1.0", 1.0], ["x1.5", 1.5]],
-            max_inflight=16,
-            queue_limit=512,
-            throttle_ratio=1.2,
-            window_us=1 * MS,
-        )
-    return dict(
-        shards=2,
-        workload="read-heavy",
-        n_clients=2_000_000,
-        base_ops_per_sec=600_000.0,
-        levels=[["x0.25", 0.25], ["x0.75", 0.75], ["x1.0", 1.0], ["x1.5", 1.5]],
-        max_inflight=16,
-        queue_limit=512,
-        throttle_ratio=1.2,
-        window_us=1 * MS,
-    )
-
-
-def figMclients_points(scale: BenchScale, seed: int, smoke: bool) -> List[Point]:
-    """One point per offered-load level, underload first."""
-    params = figMclients_params(smoke)
-    points = []
-    for label, multiplier in params["levels"]:
-        points.append(
-            Point(
-                key=f"sharded/{label}",
-                fn=openloop_point,
-                kwargs={
-                    "shards": params["shards"],
-                    "workload": params["workload"],
-                    "offered_ops_per_sec": params["base_ops_per_sec"] * multiplier,
-                    "n_clients": params["n_clients"],
-                    "max_inflight": params["max_inflight"],
-                    "queue_limit": params["queue_limit"],
-                    "rate_ops_per_sec": (
-                        params["base_ops_per_sec"] * params["throttle_ratio"]
-                    ),
-                    "window_us": params["window_us"],
-                    "scale": scale,
-                    "seed": seed,
-                },
-            )
-        )
-    return points
+    return _cell(result)
 
 
 def hotspot_point(
@@ -715,9 +459,9 @@ def hotspot_point(
     from repro.workloads.generator import HotspotZipfSampler
     from repro.workloads.openloop import AdmissionControl, OpenLoopEngine
 
-    spec = build_spec(
+    spec = system_spec(
         "sharded",
-        scale,
+        scale=scale,
         cores=12,
         shards=shards,
         backups=static_backups if not autoscale else 1,
@@ -913,155 +657,3 @@ def hotspot_point(
         },
     }
     return out
-
-
-def figHotspot_params(smoke: bool) -> dict:
-    """The figHotspot scenario preset.
-
-    The offered rate is chosen so one shard carrying the retargeted hot
-    set (~85% of the mass) runs past its lane's closed-loop capacity
-    while the balanced layout stays comfortably under it — the tail gap
-    the reconciled cell must close by splitting.  The fault burst spaces
-    two cold-shard coordinator crashes closer than the provisioning
-    delay, so the Fig. 8 replay demands a second spare.
-    """
-    common = dict(
-        shards=2,
-        workload="mixed",
-        hot_span=512,
-        max_inflight=8,
-        queue_limit=256,
-        window_us=1 * MS,
-        warmup_us=350 * MS,
-        static_backups=3,
-        provisioning_delay_us=150 * MS,
-        fault_at_us=(5 * MS, 70 * MS),
-        reconciler_interval_us=25 * MS,
-        imbalance_factor=1.5,
-        min_split_ops=512,
-        forward_window_us=50 * MS,
-        pool_max=4,
-    )
-    if smoke:
-        return dict(
-            common,
-            offered_ops_per_sec=200_000.0,
-            n_clients=200_000,
-            before_us=50 * MS,
-            settle_us=80 * MS,
-            after_us=200 * MS,
-        )
-    return dict(
-        common,
-        offered_ops_per_sec=200_000.0,
-        n_clients=1_000_000,
-        before_us=100 * MS,
-        settle_us=80 * MS,
-        after_us=400 * MS,
-    )
-
-
-def figHotspot_points(scale: BenchScale, seed: int, smoke: bool) -> List[Point]:
-    """Two cells, static first (the declared merge order)."""
-    params = figHotspot_params(smoke)
-    points = []
-    for label, autoscale in (("static", False), ("autoscaled", True)):
-        points.append(
-            Point(
-                key=f"sharded/{label}",
-                fn=hotspot_point,
-                kwargs=dict(params, autoscale=autoscale, scale=scale, seed=seed),
-            )
-        )
-    return points
-
-
-# -- figure point lists (declared order == serial order == merge order) -----
-
-
-def fig5_points(scale: BenchScale, seed: int) -> List[Point]:
-    """System-major, workload-minor — the old nested-loop order."""
-    points = []
-    for system in FIG5_SYSTEMS:
-        clients = scale.clients * 3 if system == "epaxos" else scale.clients
-        for mix in WORKLOADS:
-            points.append(
-                Point(
-                    key=f"{system}/{mix}",
-                    fn=throughput_point,
-                    kwargs={
-                        "system": system,
-                        "workload": mix,
-                        "clients": clients,
-                        "cores": 12,
-                        "scale": scale,
-                        "seed": seed,
-                    },
-                )
-            )
-    return points
-
-
-def fig6_points(scale: BenchScale, seed: int, high_load_clients: int) -> List[Point]:
-    """System-major, low load then high load."""
-    points = []
-    for system in FIG6_SYSTEMS:
-        for load, clients in (("low", 1), ("high", high_load_clients)):
-            points.append(
-                Point(
-                    key=f"{system}/{load}",
-                    fn=latency_point,
-                    kwargs={
-                        "system": system,
-                        "workload": "mixed",
-                        "clients": clients,
-                        "cores": 12,
-                        "scale": scale,
-                        "seed": seed,
-                    },
-                )
-            )
-    return points
-
-
-def fig11_points(scale: BenchScale, seed: int, smoke: bool) -> List[Point]:
-    points = [
-        Point(
-            key="sift/memnode-failure",
-            fn=memnode_failure_point,
-            kwargs={"smoke": smoke, "scale": scale, "seed": seed},
-        )
-    ]
-    return points
-
-
-def fig11sweep_points(scale: BenchScale, seed: int, smoke: bool) -> List[Point]:
-    """The recovery-time-vs-partitions sweep, plus the exact fig11 point.
-
-    The ``sift/memnode-failure`` anchor re-runs fig11's timeline with
-    the same seed and scale: its result must stay byte-identical to the
-    fig11 artifact, pinning the partitions=1 path to the pre-sweep
-    numbers (``tests/test_recovery_determinism.py`` compares the two
-    committed baselines).
-    """
-    points = [
-        Point(
-            key="sift/memnode-failure",
-            fn=memnode_failure_point,
-            kwargs={"smoke": smoke, "scale": scale, "seed": seed},
-        )
-    ]
-    for partitions in RECOVERY_SWEEP_PARTITIONS:
-        points.append(
-            Point(
-                key=f"sift/recovery-f2-p{partitions}",
-                fn=recovery_sweep_point,
-                kwargs={
-                    "smoke": smoke,
-                    "scale": scale,
-                    "seed": seed,
-                    "partitions": partitions,
-                },
-            )
-        )
-    return points

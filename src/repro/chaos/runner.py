@@ -32,7 +32,6 @@ from repro.chaos.invariants import (
     check_no_phantoms,
 )
 from repro.chaos.schedule import FaultSchedule
-from repro.compat import resolve_us_kwargs
 from repro.kv.client import KvClient, KvRequestFailed
 from repro.net.fabric import Fabric
 from repro.obs import state as obs_state
@@ -173,29 +172,7 @@ class ChaosRunner:
         ready_timeout_us: float = 5 * SEC,
         liveness_timeout_us: float = 5 * SEC,
         check_linearizability: Optional[bool] = None,
-        **deprecated,
     ):
-        if deprecated:
-            durations = resolve_us_kwargs(
-                "ChaosRunner",
-                deprecated,
-                {
-                    "op_gap": "op_gap_us",
-                    "settle": "settle_us",
-                    "ready_timeout": "ready_timeout_us",
-                    "liveness_timeout": "liveness_timeout_us",
-                },
-                {
-                    "op_gap_us": op_gap_us,
-                    "settle_us": settle_us,
-                    "ready_timeout_us": ready_timeout_us,
-                    "liveness_timeout_us": liveness_timeout_us,
-                },
-            )
-            op_gap_us = durations["op_gap_us"]
-            settle_us = durations["settle_us"]
-            ready_timeout_us = durations["ready_timeout_us"]
-            liveness_timeout_us = durations["liveness_timeout_us"]
         self.build = build
         self.schedule = schedule
         self.seed = seed

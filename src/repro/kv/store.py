@@ -244,27 +244,28 @@ class KvServer:
             for n, s in self.repmem.states.items()
             if s == NodeState.LIVE and n in self.repmem.qps
         ]
+        slot_bytes = layout.wal_slot_bytes
         for n in live:
-            raw = bytearray()
+            # Decode slot by slot as chunks arrive (decoding takes no
+            # simulated time), so no copy of the whole WAL is held.
+            records: Dict[int, WalRecord] = {}
+            pending = b""
             offset = 0
             while offset < wal_bytes:
                 take = min(_STRUCTURE_READ_CHUNK, wal_bytes - offset)
-                data = yield self.repmem.qps[n].read(
+                pending += yield self.repmem.qps[n].read(
                     REPMEM_REGION,
                     self.repmem.amap.raw_extent(layout.wal_offset + offset),
                     take,
                 )
-                raw += data
                 offset += take
+                whole = len(pending) - len(pending) % slot_bytes
+                for begin in range(0, whole, slot_bytes):
+                    record = layout.decode_wal_record(pending[begin : begin + slot_bytes])
+                    if record is not None:
+                        records[record.seq] = record
+                pending = pending[whole:]
             yield self.host.execute(config.wal_entries * 0.02)  # slot scan
-            records: Dict[int, WalRecord] = {}
-            for slot in range(config.wal_entries):
-                begin = slot * layout.wal_slot_bytes
-                record = layout.decode_wal_record(
-                    bytes(raw[begin : begin + layout.wal_slot_bytes])
-                )
-                if record is not None:
-                    records[record.seq] = record
             per_node.append(records)
 
         records = merge_wal_records(per_node, self.applied_seq)

@@ -1,9 +1,9 @@
 """Versioned ``BENCH_<figure>.json`` benchmark artifacts.
 
 Every figure driver emits one artifact per run: the simulated series
-(throughput / latency / cost numbers — deterministic in the seed), a
-metrics-registry snapshot, the seeds, the experiment parameters, the
-git SHA, and the host wall clock.  Artifacts are the repo's bench
+(throughput / latency / cost numbers — deterministic in the seed), the
+figure's named gate verdicts, a metrics-registry snapshot, the seeds,
+the experiment parameters, the git SHA, and the host wall clock.  Artifacts are the repo's bench
 trajectory: CI regenerates them at smoke scale and diffs them against
 committed baselines with :mod:`repro.obs.compare` (zero tolerance on
 the simulated sections — determinism is a correctness property here).
@@ -54,6 +54,7 @@ _REQUIRED = (
     "seeds",
     "params",
     "simulated",
+    "gates",
     "registry",
     "git_sha",
     "created_unix",
@@ -62,7 +63,7 @@ _REQUIRED = (
 
 #: Sections whose contents are deterministic in the seeds (compared with
 #: zero tolerance by :mod:`repro.obs.compare`).
-DETERMINISTIC_SECTIONS = ("figure", "seeds", "params", "simulated", "registry")
+DETERMINISTIC_SECTIONS = ("figure", "seeds", "params", "simulated", "gates", "registry")
 
 #: Sections that vary between hosts/runs (never strictly compared).
 VOLATILE_SECTIONS = ("git_sha", "created_unix", "host")
@@ -101,6 +102,7 @@ def make_artifact(
     *,
     seeds: Iterable[int],
     params: Optional[Dict[str, Any]] = None,
+    gates: Optional[Dict[str, Any]] = None,
     registry: Optional[MetricsRegistry] = None,
     wall_clock_s: Optional[float] = None,
 ) -> Dict[str, Any]:
@@ -108,6 +110,7 @@ def make_artifact(
 
     *simulated* holds every virtual-time-derived number of the figure;
     anything in it must be reproducible bit-for-bit from *seeds*.
+    *gates* maps each gate name to ``{"pass", "observed", "bound"}``.
     """
     if not isinstance(simulated, dict):
         raise ArtifactError("simulated section must be a dict")
@@ -118,6 +121,7 @@ def make_artifact(
         "seeds": sorted(set(int(s) for s in seeds)),
         "params": dict(params or {}),
         "simulated": simulated,
+        "gates": dict(gates or {}),
         "registry": registry.snapshot() if registry is not None else None,
         "git_sha": _git_sha(),
         "created_unix": time.time(),
@@ -137,6 +141,7 @@ def write_artifact(
     *,
     seeds: Iterable[int],
     params: Optional[Dict[str, Any]] = None,
+    gates: Optional[Dict[str, Any]] = None,
     registry: Optional[MetricsRegistry] = None,
     wall_clock_s: Optional[float] = None,
 ) -> str:
@@ -149,6 +154,7 @@ def write_artifact(
         simulated,
         seeds=seeds,
         params=params,
+        gates=gates,
         registry=registry,
         wall_clock_s=wall_clock_s,
     )
@@ -296,6 +302,11 @@ def validate_artifact(doc: Any) -> None:
         raise ArtifactError("params must be an object")
     if not isinstance(doc["simulated"], dict):
         raise ArtifactError("simulated must be an object")
+    if not isinstance(doc["gates"], dict) or not all(
+        isinstance(g, dict) and isinstance(g.get("pass"), bool)
+        for g in doc["gates"].values()
+    ):
+        raise ArtifactError("gates must map names to {pass, observed, bound}")
     if doc["registry"] is not None and not isinstance(doc["registry"], dict):
         raise ArtifactError("registry must be an object or null")
     if not isinstance(doc["host"], dict):

@@ -2,13 +2,14 @@
 
 ``python -m repro.obs.compare A.json B.json`` exits 0 when B reproduces
 A and 1 otherwise, printing one line per divergence.  The deterministic
-sections (figure, seeds, params, simulated, registry) are compared with
-**zero tolerance by default** — two same-seed runs of the simulator
-must agree bit-for-bit, so any drift there is a regression (or an
-intentional change that requires refreshing the baselines, see
-EXPERIMENTS.md).  Host wall clock is only compared when a band is
+sections (figure, seeds, params, simulated, gates, registry) are
+compared with **zero tolerance by default** — two same-seed runs of
+the simulator must agree bit-for-bit, so any drift there is a
+regression (or an intentional change that requires refreshing the
+baselines, see EXPERIMENTS.md).  Host wall clock is only compared when a band is
 requested with ``--wall-clock-band``; git SHA and timestamps are never
-compared.
+compared.  A gate that failed in B is reported by name even when A
+failed it too.
 
 The module is also a library: :func:`compare_artifacts` returns the
 list of divergence messages.
@@ -83,6 +84,12 @@ def compare_artifacts(
     diffs: List[str] = []
     for section in DETERMINISTIC_SECTIONS:
         _diff_value(section, a.get(section), b.get(section), rel_tol, diffs)
+    for name, gate in sorted((b.get("gates") or {}).items()):
+        if not gate.get("pass"):
+            diffs.append(
+                f"gates.{name}: FAILED (observed {gate.get('observed')!r}, "
+                f"bound {gate.get('bound')!r})"
+            )
     if wall_clock_band is not None:
         wall_a = (a.get("host") or {}).get("wall_clock_s")
         wall_b = (b.get("host") or {}).get("wall_clock_s")

@@ -1,7 +1,5 @@
 """Tests for the repro.api cluster façade."""
 
-import warnings
-
 import pytest
 
 from repro.api import SYSTEMS, Cluster, ScenarioFailed, system_spec
@@ -113,17 +111,9 @@ class TestRun:
         assert cluster.sim.now == target
 
 
-class TestDeprecationShims:
-    def test_legacy_duration_kwarg_warns_once_and_applies(self):
+class TestLegacyKwargs:
+    def test_legacy_duration_kwarg_is_rejected(self):
+        # Durations are spelled *_us; the pre-rename names are gone.
         cluster = Cluster.build("sift", seed=5)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            client = cluster.client(request_timeout=7 * MS)
-        messages = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(messages) == 1
-        assert "request_timeout_us" in str(messages[0].message)
-        assert client.request_timeout_us == 7 * MS
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cluster.client(request_timeout=7 * MS)  # warned once already
-        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
+        with pytest.raises(TypeError, match="request_timeout"):
+            cluster.client(request_timeout=7 * MS)

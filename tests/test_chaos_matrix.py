@@ -258,7 +258,7 @@ def test_explorer_covers_memory_node_faults_and_shrinks():
     assert [a.kind for a in minimal] == ["crash_memory_node"]
 
 
-def test_failing_cell_reports_replay_seed():
+def test_failing_cell_reports_replay_seed(postmortem_dir):
     """A violated invariant names the seed and the injected trace."""
     from repro.chaos import ChaosError
 
@@ -272,3 +272,7 @@ def test_failing_cell_reports_replay_seed():
         runner.run()
     assert "seed=5" in str(excinfo.value)
     assert "crash_node" in str(excinfo.value)
+    # The flight-recorder dump lands in the test's tmpdir, not the tree.
+    dumps = list(postmortem_dir.glob("POSTMORTEM_*.json"))
+    assert len(dumps) == 1
+    assert str(dumps[0]) in str(excinfo.value)

@@ -92,12 +92,11 @@ class TestRunHelperDeterminism:
     def test_same_seed_same_timeline(self):
         runs = [
             _memnode_failure_run(
-                True,
+                MINI_TIMINGS,
                 _mini_scale(),
                 seed=7,
                 f=1,
                 recovery_partitions=2,
-                timings=MINI_TIMINGS,
             )
             for _ in range(2)
         ]
@@ -111,12 +110,11 @@ class TestRunHelperDeterminism:
         # exactly, and every width must complete its recovery.
         runs = {
             p: _memnode_failure_run(
-                True,
+                MINI_TIMINGS,
                 _mini_scale(),
                 seed=7,
                 f=1,
                 recovery_partitions=p,
-                timings=MINI_TIMINGS,
             )
             for p in (1, 2)
         }
