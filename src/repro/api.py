@@ -111,14 +111,13 @@ class Cluster:
     def client(self, name: Optional[str] = None, cores: int = 4, **kwargs):
         """A KV client on its own fresh host.
 
-        Returns a :class:`~repro.shard.router.ShardRouter` for the
-        sharded service and a :class:`~repro.kv.client.KvClient`
-        otherwise (Raft-R and EPaxos expose the same endpoint surface);
-        *kwargs* reach the client constructor (timeouts, retry policy).
+        The spec's ``client_factory`` decides the class (a
+        :class:`~repro.shard.router.ShardRouter` for the sharded
+        service); anything else gets a :class:`~repro.kv.client.KvClient`
+        (Raft-R and EPaxos expose the same endpoint surface).  *kwargs*
+        reach the client constructor (timeouts, retry policy).
         """
         from repro.kv.client import KvClient
-        from repro.shard.router import ShardRouter
-        from repro.shard.service import ShardedKvService
 
         if name is None:
             # Several Clusters may share one fabric; skip taken names.
@@ -126,7 +125,7 @@ class Cluster:
             while name in self.fabric.hosts:
                 name = f"client-{next(self._client_ids)}"
         host = self.fabric.add_host(name, cores=cores)
-        factory = ShardRouter if isinstance(self.inner, ShardedKvService) else KvClient
+        factory = self.spec.client_factory or KvClient
         return factory(host, self.fabric, self.inner, **kwargs)
 
     # ------------------------------------------------------------------

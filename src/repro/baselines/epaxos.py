@@ -29,7 +29,7 @@ while keeping per-key ordering exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -44,16 +44,15 @@ from repro.sim.engine import Event, ProcessKilled
 __all__ = ["EPaxosCluster", "EPaxosConfig"]
 
 
-@dataclass(frozen=True)
-class EPaxosCosts:
-    """Per-message / per-op CPU charges (core-microseconds)."""
+# -- Per-message / per-op CPU charges (core-microseconds) ---------------------
 
-    msg_recv_us: float = 1.2
-    op_us: float = 4.0
-    preaccept_us: float = 1.5
-    """Dependency-table lookup/update per command at a peer."""
+MSG_RECV_US = 1.2
+OP_US = 4.0
 
-    execute_us: float = 2.0
+#: Dependency-table lookup/update per command at a peer.
+PREACCEPT_US = 1.5
+
+EXECUTE_US = 2.0
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,6 @@ class EPaxosConfig:
     cores: int = 8
     batch_window_us: float = 100.0  # §6.3.1
     batch_max: int = 100  # §6.3.1
-    costs: EPaxosCosts = field(default_factory=EPaxosCosts)
 
     @property
     def nodes(self) -> int:
@@ -215,7 +213,7 @@ class EPaxosReplica:
         return Reply(("ok", None), 32)
 
     def _submit(self, command: _Command):
-        yield self.host.execute(self.config.costs.op_us)
+        yield self.host.execute(OP_US)
         done = Event(self.sim)
         self._batch.append((command, done))
         if len(self._batch) >= self.config.batch_max:
@@ -270,7 +268,7 @@ class EPaxosReplica:
         try:
             while True:
                 message = yield self.messenger.recv()
-                yield self.host.execute(self.config.costs.msg_recv_us)
+                yield self.host.execute(MSG_RECV_US)
                 if isinstance(message, _PreAccept):
                     yield from self._on_preaccept(message)
                 elif isinstance(message, _PreAcceptReply):
@@ -285,7 +283,7 @@ class EPaxosReplica:
             raise
 
     def _on_preaccept(self, msg: _PreAccept):
-        yield self.host.execute(self.config.costs.preaccept_us * len(msg.commands))
+        yield self.host.execute(PREACCEPT_US * len(msg.commands))
         deps_changed = False
         new_seqs = []
         for command, seq in zip(msg.commands, msg.seqs):
@@ -363,7 +361,7 @@ class EPaxosReplica:
             self.messenger.send(self.cluster.replicas[peer].messenger, message, size)
 
     def _on_commit(self, msg: _Commit):
-        yield self.host.execute(self.config.costs.execute_us * len(msg.commands))
+        yield self.host.execute(EXECUTE_US * len(msg.commands))
         for command in msg.commands:
             self._execute(command)
 

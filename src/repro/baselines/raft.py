@@ -6,8 +6,8 @@ majority of nodes (including the leader) before they are committed.
 Read requests are serviced locally from the leader's replica.  It uses a
 partitioned map with 1000 partitions to reduce contention and
 read/write locks to provide strong consistency."  Here the map is one
-dict: partition contention is charged through ``RaftCosts``, not
-modelled by the data structure.
+dict: lock contention is charged through the per-op CPU costs below,
+not modelled by the data structure.
 
 Every node is provisioned like the leader (that is the resource-coupling
 Sift attacks): a full in-memory replica plus enough cores to lead.
@@ -25,7 +25,7 @@ a fixed group).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.net.fabric import Fabric
@@ -40,30 +40,37 @@ from repro.sim.units import MS
 __all__ = ["RaftCluster", "RaftConfig", "RaftNode"]
 
 
-@dataclass(frozen=True)
-class RaftCosts:
-    """Per-message / per-op CPU charges (core-microseconds)."""
+# -- Per-message / per-op CPU charges (core-microseconds) ---------------------
 
-    msg_recv_us: float = 1.2
-    """Reaping and parsing one SEND/RECV message."""
+#: Reaping and parsing one SEND/RECV message.
+MSG_RECV_US = 1.2
 
-    log_append_us: float = 1.0
-    """Appending one entry to the in-memory log (per entry)."""
+#: Appending one entry to the in-memory log (per entry).
+LOG_APPEND_US = 1.0
 
-    apply_us: float = 2.0
-    """Applying one committed entry to the partitioned map."""
+#: Applying one committed entry to the key-value map.
+APPLY_US = 2.0
 
-    map_read_us: float = 2.0
-    """Partition lock + map lookup for a local read."""
+#: Read lock + map lookup for a local read.
+MAP_READ_US = 2.0
 
-    op_us: float = 4.0
-    """Leader-side bookkeeping per client request."""
+#: Leader-side bookkeeping per client request.
+OP_US = 4.0
 
-    write_op_us: float = 12.0
-    """Extra leader work per write: copying the ~1 KiB entry into the
-    per-follower replication buffers, partition write-lock handling, and
-    commit bookkeeping.  Calibrated so Raft-R's write-only saturation
-    sits ~3x below its read-only saturation, the ratio §6.3.2 reports."""
+#: Extra leader work per write: copying the ~1 KiB entry into the
+#: per-follower replication buffers, write-lock handling, and commit
+#: bookkeeping.  Calibrated so Raft-R's write-only saturation sits ~3x
+#: below its read-only saturation, the ratio §6.3.2 reports.
+WRITE_OP_US = 12.0
+
+# -- Protocol timings ----------------------------------------------------------
+
+HEARTBEAT_US = 2_000.0
+ELECTION_TIMEOUT_MIN_US = 12_000.0
+ELECTION_TIMEOUT_MAX_US = 24_000.0
+
+#: Entries per AppendEntries message (pipelined batching).
+MAX_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -72,13 +79,6 @@ class RaftConfig:
 
     f: int = 1
     cores: int = 8  # Table 2: Raft-R nodes get 8 cores
-    heartbeat_us: float = 2_000.0
-    election_timeout_min_us: float = 12_000.0
-    election_timeout_max_us: float = 24_000.0
-    max_batch: int = 64
-    """Entries per AppendEntries message (pipelined batching)."""
-
-    costs: RaftCosts = field(default_factory=RaftCosts)
 
     @property
     def nodes(self) -> int:
@@ -239,7 +239,7 @@ class RaftNode:
         """Process: served locally from the leader's replica (§6.3.1)."""
         if self.role != "leader":
             raise NotLeader(self.leader_hint)
-        yield self.host.execute(self.config.costs.op_us + self.config.costs.map_read_us)
+        yield self.host.execute(OP_US + MAP_READ_US)
         self.stats["gets"] += 1
         value = self.store.get(bytes(key))
         if value is None:
@@ -249,11 +249,7 @@ class RaftNode:
     def _commit_op(self, op: Tuple):
         if self.role != "leader":
             raise NotLeader(self.leader_hint)
-        yield self.host.execute(
-            self.config.costs.op_us
-            + self.config.costs.write_op_us
-            + self.config.costs.log_append_us
-        )
+        yield self.host.execute(OP_US + WRITE_OP_US + LOG_APPEND_US)
         self.log.append(_LogEntry(self.term, op))
         index = self.last_index
         waiter = Event(self.sim)
@@ -270,7 +266,7 @@ class RaftNode:
         try:
             while True:
                 message = yield self.messenger.recv()
-                yield self.host.execute(self.config.costs.msg_recv_us)
+                yield self.host.execute(MSG_RECV_US)
                 if isinstance(message, _AppendEntries):
                     yield from self._on_append(message)
                 elif isinstance(message, _AppendReply):
@@ -313,7 +309,7 @@ class RaftNode:
             )
             return
         if msg.entries:
-            yield self.host.execute(self.config.costs.log_append_us * len(msg.entries))
+            yield self.host.execute(LOG_APPEND_US * len(msg.entries))
             # Raft's append rule: skip entries we already hold (a stale
             # duplicate from leader pipelining must not truncate newer
             # entries); truncate only at an actual term conflict.
@@ -353,7 +349,7 @@ class RaftNode:
             self._advance_commit()
         else:
             self.next_index[msg.follower] = max(
-                1, self.next_index.get(msg.follower, 1) - self.config.max_batch
+                1, self.next_index.get(msg.follower, 1) - MAX_BATCH
             )
         kick = self._replicator_kicks.pop(msg.follower, None)
         if kick is not None:
@@ -381,7 +377,7 @@ class RaftNode:
         while self.last_applied < index:
             self.last_applied += 1
             entry = self.log[self.last_applied - 1]
-            yield self.host.execute(self.config.costs.apply_us)
+            yield self.host.execute(APPLY_US)
             op = entry.op
             if op[0] == "put":
                 self.store[op[1]] = op[2]
@@ -395,10 +391,7 @@ class RaftNode:
     def _election_timer(self):
         try:
             while True:
-                timeout = self._rng.uniform(
-                    self.config.election_timeout_min_us,
-                    self.config.election_timeout_max_us,
-                )
+                timeout = self._rng.uniform(ELECTION_TIMEOUT_MIN_US, ELECTION_TIMEOUT_MAX_US)
                 yield self.sim.timeout(timeout)
                 if self.role == "leader":
                     continue
@@ -500,15 +493,15 @@ class RaftNode:
         interval rather than at ack frequency.
         """
         my_term = self.term
-        last_send = -self.config.heartbeat_us
+        last_send = -HEARTBEAT_US
         try:
             while self.role == "leader" and self.term == my_term:
                 next_index = self.next_index.get(peer, self.last_index + 1)
                 entries = tuple(
-                    self.log[next_index - 1 : next_index - 1 + self.config.max_batch]
+                    self.log[next_index - 1 : next_index - 1 + MAX_BATCH]
                 )
                 if not entries:
-                    remaining = self.config.heartbeat_us - (self.sim.now - last_send)
+                    remaining = HEARTBEAT_US - (self.sim.now - last_send)
                     # Floor at 1us: a sub-resolution positive remainder
                     # (float error) would otherwise re-arm a timer that
                     # fires at the *same* simulated instant, forever.
@@ -537,7 +530,7 @@ class RaftNode:
                 # Wait for the ack (or a retry tick if it was lost).
                 kick = Event(self.sim)
                 self._replicator_kicks[peer] = kick
-                timer = self.sim.timeout(self.config.heartbeat_us)
+                timer = self.sim.timeout(HEARTBEAT_US)
                 timer.add_callback(lambda _ev, k=kick: k.try_trigger(None))
                 yield kick
                 timer.cancel()

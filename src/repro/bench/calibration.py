@@ -54,11 +54,6 @@ class BenchScale:
     wal_entries: int = 8_192
     kv_wal_entries: int = 16_384
 
-    @property
-    def low_load_clients(self) -> int:
-        """§6.3.3: "at most one request in the system at a time"."""
-        return 1
-
 
 DEFAULT_SCALE = BenchScale()
 
@@ -79,8 +74,8 @@ SMOKE_SCALE = BenchScale(
 
 # ---------------------------------------------------------------------------
 # The paper's normalized-performance targets (§6.4.1, Table 2), expressed as
-# core counts.  The simulator's CPU cost constants (CpuCosts, KvConfig,
-# RaftCosts) were tuned so the saturation curves of Figure 7 put each
+# core counts.  The simulator's CPU cost constants (in repro.core.config,
+# repro.kv.config and repro.baselines.raft) were tuned so the saturation curves of Figure 7 put each
 # system's knee near its Table 2 provisioning.
 # ---------------------------------------------------------------------------
 

@@ -16,6 +16,7 @@ from typing import List
 from repro.api import system_spec
 from repro.bench.calibration import BenchScale
 from repro.bench.runner import (
+    _serving,
     run_latency,
     run_openloop,
     run_throughput,
@@ -453,7 +454,6 @@ def hotspot_point(
     keys — the zero-acked-write-loss gate.
     """
     from repro.bench.lincheck import History, Op, check_history
-    from repro.bench.runner import _setup
     from repro.control import Reconciler, ReconcilerConfig
     from repro.kv.client import KvRequestFailed
     from repro.workloads.generator import HotspotZipfSampler
@@ -467,8 +467,10 @@ def hotspot_point(
         backups=static_backups if not autoscale else 1,
         provisioning_delay_us=provisioning_delay_us,
     )
-    sim, fabric, service = _setup(spec, scale, seed)
-    sampler = HotspotZipfSampler(scale.keys, service.ring, scale.zipf_theta)
+    sim, fabric, service, sampler = _serving(
+        spec, scale, seed,
+        lambda cluster: HotspotZipfSampler(scale.keys, cluster.ring, scale.zipf_theta),
+    )
     engine = OpenLoopEngine(
         fabric,
         service,
@@ -484,13 +486,6 @@ def hotspot_point(
         name="hotspot-auto" if autoscale else "hotspot-static",
         elastic=autoscale,
     )
-
-    ready = sim.spawn(spec.wait_ready(service), name="wait-ready")
-    sim.run_until_settled(ready, deadline=10 * SEC)
-    if not ready.ok:
-        raise RuntimeError(f"{spec.name} never became ready: {ready.exception}")
-    value = b"v" * scale.value_bytes
-    spec.preload(service, ((sampler.key(i), value) for i in range(scale.keys)))
 
     # Closed-loop probe client: serialized puts/gets over a small key
     # set, every outcome recorded for the Wing-Gong checker.  Failed
@@ -593,6 +588,7 @@ def hotspot_point(
     # read back as its last acked value, and the hottest data keys must
     # still hold the preloaded/engine value after split + migration.
     readback = {"checked": 0, "lost": 0, "missing": 0}
+    value = b"v" * scale.value_bytes  # what the preload and the engine write
 
     def readback_loop():
         for key, expect in sorted(acked.items()):

@@ -27,7 +27,7 @@ from repro.obs.publish import publish_run
 from repro.obs.trace import Tracer, set_tracer
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
-from repro.sim.units import MS, SEC
+from repro.sim.units import MS
 from repro.workloads.clients import ClientPool
 from repro.workloads.generator import (
     KeySampler,
@@ -105,17 +105,33 @@ class TimelineResult(NamedTuple):
     base_us: float = 0.0  # absolute sim time of t=0 (for rebasing marks)
 
 
-def _setup(spec: SystemSpec, scale: BenchScale, seed: int):
-    sim = SIMULATOR_FACTORY()
-    fabric = Fabric(sim, rng=RngStreams(seed=seed))
-    cluster = spec.build(fabric)
-    return sim, fabric, cluster
+def _serving(
+    spec: SystemSpec,
+    scale: BenchScale,
+    seed: int,
+    sampler_for: Optional[Callable[[object], KeySampler]] = None,
+):
+    """Build *spec* on a fresh seeded simulator, wait until it serves, preload.
 
+    *sampler_for* makes the key sampler from the built cluster (plain
+    Zipf by default).  The preload writes ``sampler.key(i)`` for every
+    key index, so reads hit whatever wire keys the sampler renders.
+    Returns ``(sim, fabric, cluster, sampler)``.
+    """
+    # Imported here: repro.api pulls in the control plane and hashlib,
+    # which importers of this module (e2ebench) otherwise never load.
+    from repro.api import Cluster
 
-def _items(scale: BenchScale):
+    fabric = Fabric(SIMULATOR_FACTORY(), rng=RngStreams(seed=seed))
+    handle = Cluster(spec, fabric, spec.build(fabric))
+    if sampler_for is None:
+        sampler = ZipfSampler(scale.keys, scale.zipf_theta)
+    else:
+        sampler = sampler_for(handle.inner)
+    handle.wait_ready()
     value = b"v" * scale.value_bytes
-    sampler = KeySampler(scale.keys)
-    return ((sampler.key(i), value) for i in range(scale.keys))
+    handle.preload((sampler.key(i), value) for i in range(scale.keys))
+    return fabric.sim, fabric, handle.inner, sampler
 
 
 def _drive(
@@ -124,10 +140,16 @@ def _drive(
     n_clients: int,
     scale: BenchScale,
     seed: int,
-    sampler: Optional[KeySampler] = None,
     tracer: Optional[Tracer] = None,
+    events: List[Tuple[float, str, Callable]] = (),
+    measure_us: Optional[float] = None,
 ):
-    """Common build -> preload -> warmup -> measure flow; returns metrics.
+    """Common build -> preload -> warmup -> measure flow.
+
+    The window lasts *measure_us* (the scale's by default); each
+    ``(at_us, label, fn)`` of *events* runs ``fn(cluster)`` *at_us*
+    into it.  Returns the metrics and the injected ``(seconds, label)``
+    marks.
 
     With *tracer* the measurement window runs traced: the tracer is
     installed after warmup and removed after the window, so preload and
@@ -137,22 +159,14 @@ def _drive(
     flight at install time show up as parentless milestone instants;
     :mod:`repro.obs.critpath` skips those incomplete roots.
     """
-    sim, fabric, cluster = _setup(spec, scale, seed)
+    sim, fabric, cluster, sampler = _serving(spec, scale, seed)
     # Derive the reservoir-sampling RNG from the experiment seed: every
     # source of randomness in a run traces back to the one seed argument.
     metrics = Metrics(seed=seed)
-    sampler = sampler or ZipfSampler(scale.keys, scale.zipf_theta)
     pool = ClientPool(
         fabric, cluster, n_clients, mix, sampler, metrics,
         value_bytes=scale.value_bytes, client_factory=spec.client_factory,
     )
-
-    ready = sim.spawn(spec.wait_ready(cluster), name="wait-ready")
-    ready.add_callback(lambda _ev: None)  # we inspect the outcome below
-    sim.run_until_settled(ready, deadline=5 * SEC)
-    if not ready.ok:
-        raise RuntimeError(f"{spec.name} never became ready: {ready.exception}")
-    spec.preload(cluster, _items(scale))
     pool.start()
     sim.run(until=sim.now + scale.warmup_us)
     previous = None
@@ -171,9 +185,15 @@ def _drive(
         gc_was_enabled = gc.isenabled()
         gc.disable()
         previous = set_tracer(tracer)
+    injected: List[Tuple[float, str]] = []
     try:
-        metrics.begin(sim.now)
-        sim.run(until=sim.now + scale.measure_us)
+        base = sim.now
+        metrics.begin(base)
+        for at_us, label, fn in sorted(events):
+            sim.run(until=base + at_us)
+            fn(cluster)
+            injected.append(((sim.now - base) / 1e6, label))
+        sim.run(until=base + (scale.measure_us if measure_us is None else measure_us))
         metrics.end(sim.now)
     finally:
         if tracer is not None:
@@ -184,7 +204,7 @@ def _drive(
     if obs_state.REGISTRY is not None:
         metrics.publish(obs_state.REGISTRY)
         publish_run(obs_state.REGISTRY, fabric, cluster)
-    return metrics
+    return metrics, injected
 
 
 def run_throughput(
@@ -196,7 +216,7 @@ def run_throughput(
 ) -> ThroughputResult:
     """Peak (or fixed-client) throughput for one system and workload."""
     clients = n_clients if n_clients is not None else scale.clients
-    metrics = _drive(spec, mix, clients, scale, seed)
+    metrics, _ = _drive(spec, mix, clients, scale, seed)
     return ThroughputResult(
         system=spec.name,
         workload=mix.name,
@@ -219,7 +239,7 @@ def run_latency(
     Pass *tracer* to trace the measurement window (see :func:`_drive`);
     the caller then walks the tracer with :mod:`repro.obs.critpath`.
     """
-    metrics = _drive(spec, mix, n_clients, scale, seed, tracer=tracer)
+    metrics, _ = _drive(spec, mix, n_clients, scale, seed, tracer=tracer)
 
     def maybe(op: str, p: float) -> Optional[float]:
         if metrics.latencies.get(op):
@@ -256,37 +276,11 @@ def run_timeline(
     """
     if hasattr(events, "to_timeline_events"):
         events = events.to_timeline_events()
-    sim, fabric, cluster = _setup(spec, scale, seed)
-    metrics = Metrics(seed=seed)
-    sampler = ZipfSampler(scale.keys, scale.zipf_theta)
-    pool = ClientPool(
-        fabric, cluster, n_clients, mix, sampler, metrics,
-        value_bytes=scale.value_bytes, client_factory=spec.client_factory,
+    metrics, injected = _drive(
+        spec, mix, n_clients, scale, seed, events=events, measure_us=duration_us
     )
-
-    ready = sim.spawn(spec.wait_ready(cluster), name="wait-ready")
-    ready.add_callback(lambda _ev: None)  # we inspect the outcome below
-    sim.run_until_settled(ready, deadline=5 * SEC)
-    if not ready.ok:
-        raise RuntimeError(f"{spec.name} never became ready: {ready.exception}")
-    spec.preload(cluster, _items(scale))
-    pool.start()
-    sim.run(until=sim.now + scale.warmup_us)
-
-    base = sim.now
-    metrics.begin(base)
-    injected: List[Tuple[float, str]] = []
-    for at_us, label, fn in sorted(events):
-        sim.run(until=base + at_us)
-        fn(cluster)
-        injected.append(((sim.now - base) / 1e6, label))
-    sim.run(until=base + duration_us)
-    metrics.end(sim.now)
-    pool.stop()
-    if obs_state.REGISTRY is not None:
-        metrics.publish(obs_state.REGISTRY)
-        publish_run(obs_state.REGISTRY, fabric, cluster)
-    series = metrics.timeline(base, sim.now)
+    base = metrics.measure_start
+    series = metrics.timeline(base, metrics.measure_end)
     rebased = [(t - base / 1e6, ops) for t, ops in series]
     return TimelineResult(
         system=spec.name, series=rebased, events=injected, base_us=base
@@ -317,12 +311,14 @@ def run_openloop(
     """
     if window_us is None:
         window_us = 1 * MS
-    sim, fabric, cluster = _setup(spec, scale, seed)
-    ring = getattr(cluster, "ring", None)
-    if getattr(cluster, "groups", None) and ring is not None:
-        sampler = StripedZipfSampler(scale.keys, ring, scale.zipf_theta)
-    else:
-        sampler = ZipfSampler(scale.keys, scale.zipf_theta)
+
+    def striped_if_sharded(cluster) -> KeySampler:
+        ring = getattr(cluster, "ring", None)
+        if getattr(cluster, "groups", None) and ring is not None:
+            return StripedZipfSampler(scale.keys, ring, scale.zipf_theta)
+        return ZipfSampler(scale.keys, scale.zipf_theta)
+
+    sim, fabric, cluster, sampler = _serving(spec, scale, seed, striped_if_sharded)
     engine = OpenLoopEngine(
         fabric,
         cluster,
@@ -335,16 +331,6 @@ def run_openloop(
         retry=retry,
         value_bytes=scale.value_bytes,
     )
-
-    ready = sim.spawn(spec.wait_ready(cluster), name="wait-ready")
-    ready.add_callback(lambda _ev: None)  # we inspect the outcome below
-    sim.run_until_settled(ready, deadline=5 * SEC)
-    if not ready.ok:
-        raise RuntimeError(f"{spec.name} never became ready: {ready.exception}")
-    # Preload the *sampler's* keys: a striped sampler renders different
-    # wire keys than the plain preload set, and reads must hit.
-    value = b"v" * scale.value_bytes
-    spec.preload(cluster, ((sampler.key(i), value) for i in range(scale.keys)))
     engine.start()
     sim.run(until=sim.now + scale.warmup_us)
     engine.begin_measurement()

@@ -21,6 +21,13 @@ from repro.sim.units import MS
 
 __all__ = ["ChaosSpace", "random_schedule", "shrink", "ScheduleExplorer", "Failure"]
 
+#: Actions drawn per schedule, before the closing heal/restart.
+MIN_ACTIONS = 2
+MAX_ACTIONS = 5
+
+#: Never exceed the tolerated failure count mid-schedule.
+MAX_CONCURRENT_CRASHES = 1
+
 
 class ChaosSpace(NamedTuple):
     """What the generator is allowed to break."""
@@ -34,15 +41,6 @@ class ChaosSpace(NamedTuple):
     horizon_us: float = 1_000 * MS
     """Actions are placed in (0, horizon]."""
 
-    min_actions: int = 2
-    max_actions: int = 5
-
-    allow_message_faults: bool = True
-    allow_partitions: bool = True
-
-    max_concurrent_crashes: int = 1
-    """Never exceed the tolerated failure count mid-schedule."""
-
 
 def random_schedule(seed: int, space: ChaosSpace) -> FaultSchedule:
     """Deterministically expand *seed* into a schedule.
@@ -54,17 +52,13 @@ def random_schedule(seed: int, space: ChaosSpace) -> FaultSchedule:
     """
     rng = random.Random(seed)
     schedule = FaultSchedule()
-    count = rng.randint(space.min_actions, space.max_actions)
+    count = rng.randint(MIN_ACTIONS, MAX_ACTIONS)
     down: List[object] = []  # node targets currently crashed
     mem_down: List[int] = []
     partitioned = False
     noisy = False
 
-    kinds = ["crash"]
-    if space.allow_partitions:
-        kinds += ["partition", "partition_oneway", "isolate"]
-    if space.allow_message_faults:
-        kinds += ["drop", "duplicate", "delay"]
+    kinds = ["crash", "partition", "partition_oneway", "isolate", "drop", "duplicate", "delay"]
     if space.memory_nodes:
         kinds += ["crash_memory"]
 
@@ -74,7 +68,7 @@ def random_schedule(seed: int, space: ChaosSpace) -> FaultSchedule:
     )
     for at_us in times:
         kind = rng.choice(kinds)
-        if kind == "crash" and len(down) < space.max_concurrent_crashes:
+        if kind == "crash" and len(down) < MAX_CONCURRENT_CRASHES:
             target = rng.choice([LEADER, FOLLOWER])
             schedule.add(at_us, "crash_node", target)
             down.append(target)

@@ -28,6 +28,22 @@ __all__ = ["TraceConfig", "FailureEvent", "generate_trace"]
 
 DAY_S = 24 * 3600.0
 
+#: Independent machine failures per hour, cluster-wide.
+BACKGROUND_PER_HOUR = 2.0
+
+#: Correlated failure events per hour.
+BURST_PER_HOUR = 0.15
+
+#: Lognormal burst-size parameters (median machines per burst).
+BURST_MEDIAN = 10.0
+BURST_SIGMA = 0.95
+
+#: Cap: roughly two racks.
+BURST_MAX = 85
+
+#: Machines within one burst fail within this window.
+BURST_SPREAD_S = 45.0
+
 
 class FailureEvent(NamedTuple):
     """One machine failing at one moment."""
@@ -42,21 +58,6 @@ class TraceConfig:
 
     machines: int = 12_500
     duration_days: float = 29.0
-    background_per_hour: float = 2.0
-    """Independent machine failures per hour, cluster-wide."""
-
-    burst_per_hour: float = 0.15
-    """Correlated failure events per hour."""
-
-    burst_median: float = 10.0
-    burst_sigma: float = 0.95
-    """Lognormal burst-size parameters (median machines per burst)."""
-
-    burst_max: int = 85
-    """Cap: roughly two racks."""
-
-    burst_spread_s: float = 45.0
-    """Machines within one burst fail within this window."""
 
     @property
     def duration_s(self) -> float:
@@ -69,21 +70,21 @@ def generate_trace(config: TraceConfig = TraceConfig(), seed: int = 0) -> List[F
     events: List[FailureEvent] = []
 
     # Background: exponential inter-arrival times.
-    rate = config.background_per_hour / 3600.0
-    t = rng.expovariate(rate) if rate > 0 else math.inf
+    rate = BACKGROUND_PER_HOUR / 3600.0
+    t = rng.expovariate(rate)
     while t < config.duration_s:
         events.append(FailureEvent(t, rng.randrange(config.machines)))
         t += rng.expovariate(rate)
 
     # Bursts: a lognormal number of machines inside a short window.
-    rate = config.burst_per_hour / 3600.0
-    t = rng.expovariate(rate) if rate > 0 else math.inf
+    rate = BURST_PER_HOUR / 3600.0
+    t = rng.expovariate(rate)
     while t < config.duration_s:
-        size = int(round(rng.lognormvariate(math.log(config.burst_median), config.burst_sigma)))
-        size = max(2, min(size, config.burst_max))
+        size = int(round(rng.lognormvariate(math.log(BURST_MEDIAN), BURST_SIGMA)))
+        size = max(2, min(size, BURST_MAX))
         victims = rng.sample(range(config.machines), size)
         for machine in victims:
-            offset = rng.uniform(0.0, config.burst_spread_s)
+            offset = rng.uniform(0.0, BURST_SPREAD_S)
             events.append(FailureEvent(t + offset, machine))
         t += rng.expovariate(rate)
 

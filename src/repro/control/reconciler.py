@@ -35,6 +35,11 @@ from repro.sim.units import MS, SEC
 
 __all__ = ["Reconciler", "ReconcilerConfig"]
 
+#: Pool pressure is read from promotion requests inside this window.
+POOL_WINDOW_US = 5 * SEC
+#: Additional recovery time the sized pool may still leave (Fig 8 model).
+POOL_TARGET_EXTRA_S = 0.0
+
 
 class ReconcilerConfig(NamedTuple):
     """Policy knobs for one reconciler loop."""
@@ -49,11 +54,9 @@ class ReconcilerConfig(NamedTuple):
     #: below this multiple of the mean (None disables merging).
     merge_idle_factor: Optional[float] = None
     min_shards: int = 1
-    #: Pool autoscaling bounds and the promotion-observation window.
+    #: Pool autoscaling bounds.
     pool_min: int = 1
     pool_max: int = 8
-    pool_window_us: float = 5 * SEC
-    pool_target_extra_s: float = 0.0
     #: Forward-window length handed to migrations this loop starts.
     forward_window_us: float = 200 * MS
 
@@ -139,7 +142,7 @@ class Reconciler:
     def _reconcile_pool(self) -> None:
         pool = self.service.pool
         cfg = self.config
-        horizon = self.sim.now - cfg.pool_window_us
+        horizon = self.sim.now - POOL_WINDOW_US
         recent_s = [
             at_us / 1e6
             for at_us in pool.request_log
@@ -149,7 +152,7 @@ class Reconciler:
             recent_s,
             provision_s=pool.provisioning_delay_us / 1e6,
             max_backups=cfg.pool_max,
-            target_extra_s=cfg.pool_target_extra_s,
+            target_extra_s=POOL_TARGET_EXTRA_S,
             min_backups=cfg.pool_min,
         )
         if desired != pool.capacity:

@@ -19,7 +19,7 @@ Layering follows §3 of the paper:
   monitoring many groups (§5.2).
 """
 
-from repro.core.config import CpuCosts, SiftConfig
+from repro.core.config import SiftConfig
 from repro.core.cpu_node import CpuNode, Role
 from repro.core.group import SiftGroup
 from repro.core.locks import BlockLockTable, LockMode
@@ -30,7 +30,6 @@ from repro.core.backups import BackupPool
 __all__ = [
     "BackupPool",
     "BlockLockTable",
-    "CpuCosts",
     "CpuNode",
     "LockMode",
     "RecoveryPartition",

@@ -7,43 +7,58 @@ with the sentence that constrains them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.storage.memory_node import MemoryNodeConfig
 
-__all__ = ["SiftConfig", "CpuCosts"]
+__all__ = ["SiftConfig"]
 
 
-@dataclass(frozen=True)
-class CpuCosts:
-    """Coordinator-side CPU charges, in core-microseconds.
+# -- Coordinator-side CPU charges, in core-microseconds ----------------------
+#
+# These are the calibration constants behind Figure 7: Sift needs more
+# cores than Raft-R at equal throughput because of "the larger amount of
+# work being performed in the background to apply writes" (§6.3.2).
 
-    These are the calibration constants behind Figure 7: Sift needs more
-    cores than Raft-R at equal throughput because of "the larger amount
-    of work being performed in the background to apply writes" (§6.3.2).
-    """
+#: Posting a verb / reaping a completion.
+RDMA_POST_US = 0.4
 
-    rdma_post_us: float = 0.4
-    """Posting a verb / reaping a completion."""
+#: Base bookkeeping per client request inside the replicated-memory layer.
+REQUEST_US = 4.0
 
-    request_us: float = 4.0
-    """Base bookkeeping per client request inside the replicated-memory layer."""
+#: Building a WAL slot image (header, CRC) before posting the writes.
+LOG_APPEND_US = 2.0
 
-    log_append_us: float = 2.0
-    """Building a WAL slot image (header, CRC) before posting the writes."""
+#: Background work to apply one committed entry to replicated memory.
+APPLY_ENTRY_US = 6.0
 
-    apply_entry_us: float = 6.0
-    """Background work to apply one committed entry to replicated memory."""
+#: Cauchy RS encoding cost per KiB of block data (calibrated so the Sift
+#: EC knee in Figure 7 lands ~2 cores above plain Sift's).
+EC_ENCODE_US_PER_KB = 12.0
 
-    ec_encode_us_per_kb: float = 12.0
-    """Cauchy RS encoding cost per KiB of block data (calibrated so the
-    Sift EC knee in Figure 7 lands ~2 cores above plain Sift's)."""
+#: Decode cost per KiB when a read must rebuild from parity chunks.
+EC_DECODE_US_PER_KB = 12.0
 
-    ec_decode_us_per_kb: float = 12.0
-    """Decode cost per KiB when a read must rebuild from parity chunks."""
+#: Acquiring/releasing one block lock.
+LOCK_US = 0.5
 
-    lock_us: float = 0.5
-    """Acquiring/releasing one block lock."""
+# -- Protocol timings and sizing --------------------------------------------
+
+#: Randomized back-off window between failed election rounds (§3.4).
+ELECTION_BACKOFF_MIN_US = 200.0
+ELECTION_BACKOFF_MAX_US = 4_000.0
+
+#: Concurrent chunk copies during memory-node recovery.  The paper's
+#: implementation "aggressively copies data to the new memory node to
+#: bring it back into the system as quickly as possible" (§6.5) — the
+#: resulting bandwidth contention is Figure 11's throughput dip.
+RECOVERY_PARALLELISM = 8
+
+#: Outstanding background apply verbs per memory node.
+MAX_APPLY_INFLIGHT = 16
+
+#: Table 2: memory nodes need a single core.
+MEMORY_NODE_CORES = 1
 
 
 @dataclass(frozen=True)
@@ -91,13 +106,6 @@ class SiftConfig:
     missed_heartbeats_allowed: int = 3
     """§6.5: "a tolerance of three missed heartbeats" (~21 ms detection)."""
 
-    election_backoff_min_us: float = 200.0
-    election_backoff_max_us: float = 4_000.0
-    """Randomized back-off window between failed election rounds (§3.4)."""
-
-    verb_timeout_us: float = 1_000.0
-    """Retry-exhaustion budget for one-sided verbs."""
-
     doorbell_batching: bool = False
     """Flush replication fan-out writes with one doorbell per batch.
 
@@ -113,14 +121,6 @@ class SiftConfig:
 
     recovery_chunk_bytes: int = 64 * 1024
     """Incremental copy unit for memory-node recovery (read-lock granularity)."""
-
-    recovery_parallelism: int = 8
-    """Concurrent chunk copies during memory-node recovery.  The paper's
-    implementation "aggressively copies data to the new memory node to
-    bring it back into the system as quickly as possible" (§6.5) — the
-    resulting bandwidth contention is Figure 11's throughput dip.  Set
-    to 1 for a gentle copy that trades recovery time for steadier
-    throughput (the flexibility §6.5 points out)."""
 
     recovery_partitions: int = 1
     """Partition count for RAMCloud-style parallel memory-node recovery.
@@ -145,16 +145,8 @@ class SiftConfig:
     coordinator's remote-read counters, and the hottest chunks are copied
     *last* so the workload keeps its fast path for most of the copy."""
 
-    max_apply_inflight: int = 16
-    """Outstanding background apply verbs per memory node."""
-
     cpu_node_cores: int = 10
     """Table 2: Sift CPU nodes were provisioned with 10 cores (12 for EC)."""
-
-    memory_node_cores: int = 1
-    """Table 2: memory nodes need a single core."""
-
-    costs: CpuCosts = field(default_factory=CpuCosts)
 
     # -- derived geometry ------------------------------------------------------
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Dict, List, Optional
 
-from repro.core.config import SiftConfig
+from repro.core.config import ELECTION_BACKOFF_MAX_US, ELECTION_BACKOFF_MIN_US, SiftConfig
 from repro.core.membership import Membership
 from repro.core.recovery import MemoryNodeRecoveryManager, recover_log
 from repro.core.replicated_memory import ReplicatedMemory
@@ -86,7 +86,7 @@ class CpuNode:
         self.host: Host = host or fabric.add_host(
             name, cores=cores or config.cpu_node_cores
         )
-        self.nic = Rnic(self.host, fabric, timeout_us=config.verb_timeout_us)
+        self.nic = Rnic(self.host, fabric)
         self.sim = self.host.sim
         self._rng = fabric.rng.stream(f"election:{name}")
 
@@ -242,10 +242,7 @@ class CpuNode:
                 return False  # fall back to follower; restart election timer
             # Inconclusive round (e.g. split CASes): random back-off, retry
             # with refreshed expected values and an incremented term (§3.2).
-            backoff = self._rng.uniform(
-                self.config.election_backoff_min_us,
-                self.config.election_backoff_max_us,
-            )
+            backoff = self._rng.uniform(ELECTION_BACKOFF_MIN_US, ELECTION_BACKOFF_MAX_US)
             yield self.sim.timeout(backoff)
 
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Iterable, List, Optional
 
-from repro.core.config import SiftConfig
+from repro.core.config import MEMORY_NODE_CORES, SiftConfig
 from repro.core.cpu_node import CpuNode
 from repro.core.errors import GroupUnavailable
 from repro.net.fabric import Fabric
@@ -60,7 +60,7 @@ class SiftGroup:
                     if i in self.persistent_nodes
                     else node_config
                 ),
-                cores=config.memory_node_cores,
+                cores=MEMORY_NODE_CORES,
             )
             for i in range(config.memory_node_count)
         ]

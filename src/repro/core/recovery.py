@@ -46,6 +46,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
+from repro.core.config import (
+    APPLY_ENTRY_US, EC_ENCODE_US_PER_KB, RDMA_POST_US, RECOVERY_PARALLELISM,
+)
 from repro.core.errors import (
     GroupUnavailable,
     RecoveryIntegrityError,
@@ -107,7 +110,6 @@ def recover_log(repmem: ReplicatedMemory):
     ``repmem.next_index`` points past the last recovered entry.
     """
     config = repmem.config
-    costs = repmem.costs
     layout = repmem.wal_layout
     connected = sorted(repmem.qps)
     if len(connected) < config.quorum:
@@ -144,7 +146,7 @@ def recover_log(repmem: ReplicatedMemory):
             repmem.mark_node_dead(n)
             trusted.discard(n)
             continue
-        yield repmem.host.execute(costs.apply_entry_us)  # header scan pass
+        yield repmem.host.execute(APPLY_ENTRY_US)  # header scan pass
         entries: Dict[int, WalEntry] = {}
         for slot in range(layout.entry_count):
             begin = slot * layout.slot_bytes
@@ -237,11 +239,11 @@ def recover_log(repmem: ReplicatedMemory):
     #    Replays are absolute writes, so re-applying already-applied
     #    entries is idempotent.
     for entry in authoritative:
-        yield repmem.host.execute(costs.apply_entry_us)
+        yield repmem.host.execute(APPLY_ENTRY_US)
         chunks = None
         if repmem.rs is not None and repmem.amap.is_encoded(entry.address, len(entry.data)):
             kb = len(entry.data) / 1024.0
-            yield repmem.host.execute(costs.ec_encode_us_per_kb * kb)
+            yield repmem.host.execute(EC_ENCODE_US_PER_KB * kb)
             block = repmem.amap.block_index(entry.address)
             start, end = repmem.amap.block_bounds(block)
             if entry.address != start or len(entry.data) != end - start:
@@ -410,7 +412,7 @@ class MemoryNodeRecoveryManager:
     def _copy_single(self, n: int, qp: QueuePair):
         """Process: the single coordinator-driven copy stream (§3.4.2).
 
-        ``recovery_parallelism`` chunk copies run concurrently — the
+        ``RECOVERY_PARALLELISM`` chunk copies run concurrently — the
         paper's aggressive strategy, whose bandwidth use is what dents
         workload throughput in Figure 11.  This path is schedule-identical
         to the pre-partitioning implementation: every verb, lock
@@ -426,7 +428,7 @@ class MemoryNodeRecoveryManager:
             0, None, 0, repmem.config.data_bytes, repmem.sim.now
         )
         span = self._partition_span(n, progress)
-        workers = max(1, repmem.config.recovery_parallelism)
+        workers = RECOVERY_PARALLELISM
         failures: List[BaseException] = []
 
         def worker():
@@ -459,7 +461,7 @@ class MemoryNodeRecoveryManager:
         """Process: RAMCloud-style partitioned copy (P > 1, replication).
 
         The node image is split into contiguous partitions, each streamed
-        by its own crew of ``recovery_parallelism`` readers, and the
+        by its own crew of ``RECOVERY_PARALLELISM`` readers, and the
         fragment payloads flow **source → target** over per-source push
         channels instead of through the coordinator's NIC — aggregate
         copy bandwidth scales with the number of source links.  The
@@ -486,7 +488,7 @@ class MemoryNodeRecoveryManager:
             raise GroupUnavailable("partitioned recovery needs a live source node")
         assignment = {part.index: sources[part.index % len(sources)] for part in plan}
 
-        readers = max(1, config.recovery_parallelism)
+        readers = RECOVERY_PARALLELISM
         nic = repmem.memory_nodes[sources[0]].nic
         serialise_us = (
             config.recovery_chunk_bytes / nic.bytes_per_us + nic.verb_overhead_us
@@ -728,7 +730,7 @@ class MemoryNodeRecoveryManager:
         for block in range(first, last + 1):
             data = yield from repmem._read_encoded_block(block)
             kb = len(data) / 1024.0
-            yield repmem.host.execute(repmem.costs.ec_encode_us_per_kb * kb)
+            yield repmem.host.execute(EC_ENCODE_US_PER_KB * kb)
             shard = repmem.rs.encode(data)[n]
             yield qp.write(REPMEM_REGION, repmem.amap.chunk_extent(block), shard)
 
@@ -861,7 +863,7 @@ class _FragmentPusher:
                             f"push channel to {self.target.name} not connected"
                         )
                     data = source.repmem_region.read(offset, length)
-                    yield source.host.execute(repmem.costs.rdma_post_us)
+                    yield source.host.execute(RDMA_POST_US)
                     yield qp.write(
                         RECOVERY_REGION, offset, data, timeout_us=self.budget_us
                     )

@@ -33,7 +33,10 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.addressing import AddressMap
-from repro.core.config import SiftConfig
+from repro.core.config import (
+    APPLY_ENTRY_US, EC_DECODE_US_PER_KB, EC_ENCODE_US_PER_KB, LOCK_US, LOG_APPEND_US,
+    MAX_APPLY_INFLIGHT, RDMA_POST_US, REQUEST_US, SiftConfig,
+)
 from repro.core.errors import GroupUnavailable, InvalidAccess, Deposed
 from repro.core.locks import BlockLockTable, LockMode
 from repro.core.membership import MEMBERSHIP_ADDR, Membership
@@ -123,7 +126,6 @@ class ReplicatedMemory:
         self.config = config
         self.memory_nodes = memory_nodes
         self.sim = host.sim
-        self.costs = config.costs
         node_config = config.memory_node_config()
         self.wal_layout = node_config.wal_layout
         self.codec = WalCodec(self.wal_layout)
@@ -251,7 +253,7 @@ class ReplicatedMemory:
 
     def read(self, addr: int, length: int):
         """Process: read under a block read lock; returns the bytes."""
-        yield self.host.execute(self.costs.request_us)
+        yield self.host.execute(REQUEST_US)
         blocks = self.amap.blocks_of(addr, length)
         token = yield from self.locks.acquire(blocks, LockMode.READ)
         try:
@@ -293,7 +295,7 @@ class ReplicatedMemory:
             raise InvalidAccess(
                 "direct writes must stay inside the direct (unencoded) window"
             )
-        yield self.host.execute(self.costs.rdma_post_us)
+        yield self.host.execute(RDMA_POST_US)
         offset = self.amap.raw_extent(addr)
         if obs_state.TRACER is not None:
             # Milestone: replication fan-out begins (closes "wal_write"
@@ -332,21 +334,21 @@ class ReplicatedMemory:
 
     def _logged_write(self, writes: List[Tuple[int, bytes]]):
         self._check_usable()
-        yield self.host.execute(self.costs.request_us)
+        yield self.host.execute(REQUEST_US)
         pieces: List[Tuple[int, bytes]] = []
         blocks: Set[int] = set()
         for addr, data in writes:
             for piece_addr, piece in self.amap.split_by_block(addr, data):
                 pieces.append((piece_addr, piece))
                 blocks.add(self.amap.block_index(piece_addr))
-        yield self.host.execute(self.costs.lock_us * len(blocks))
+        yield self.host.execute(LOCK_US * len(blocks))
         token = yield from self.locks.acquire(sorted(blocks), LockMode.WRITE)
         try:
             yield from self._wait_wal_space(len(pieces))
             prepared = []
             for piece_addr, piece in pieces:
                 prepared.append((yield from self._prepare_piece(piece_addr, piece)))
-            yield self.host.execute(self.costs.log_append_us * len(prepared))
+            yield self.host.execute(LOG_APPEND_US * len(prepared))
             pendings = [self._append_entry(addr, data, chunks) for addr, data, chunks in prepared]
             yield all_of(self.sim, [p.commit_event for p in pendings])
             self.stats["writes_committed"] += 1
@@ -382,7 +384,7 @@ class ReplicatedMemory:
             patched[addr - start : addr - start + len(data)] = data
             addr, data = start, bytes(patched)
         kb = len(data) / 1024.0
-        yield self.host.execute(self.costs.ec_encode_us_per_kb * kb)
+        yield self.host.execute(EC_ENCODE_US_PER_KB * kb)
         chunks = self.rs.encode(data)
         return addr, data, chunks
 
@@ -446,13 +448,13 @@ class ReplicatedMemory:
             progressed = False
             while (
                 self._node_active(n)
-                and self._inflight[n] < self.config.max_apply_inflight
+                and self._inflight[n] < MAX_APPLY_INFLIGHT
             ):
                 index = self._next_apply[n]
                 pending = self._log.get(index)
                 if pending is None or not pending.committed:
                     break
-                yield self.host.execute(self.costs.apply_entry_us)
+                yield self.host.execute(APPLY_ENTRY_US)
                 if not self.running or not self._node_active(n):
                     return
                 self._post_apply(n, index, pending)
@@ -545,7 +547,7 @@ class ReplicatedMemory:
 
     def _raw_read(self, addr: int, length: int):
         self._note_read_popularity(addr)
-        yield self.host.execute(self.costs.rdma_post_us)
+        yield self.host.execute(RDMA_POST_US)
         offset = self.amap.raw_extent(addr)
         last_error: Optional[BaseException] = None
         for n in self._live_nodes_rotated():
@@ -594,7 +596,7 @@ class ReplicatedMemory:
                 raise GroupUnavailable(
                     f"need {config.data_shards} chunks, only {len(chosen)} live nodes"
                 )
-            yield self.host.execute(self.costs.rdma_post_us * len(chosen))
+            yield self.host.execute(RDMA_POST_US * len(chosen))
             events = [
                 self.qps[n].read(REPMEM_REGION, offset, config.chunk_bytes)
                 for n in chosen
@@ -615,7 +617,7 @@ class ReplicatedMemory:
             # All data shards: concatenation, no field arithmetic.
             return b"".join(results)[:block_len]
         kb = block_len / 1024.0
-        yield self.host.execute(self.costs.ec_decode_us_per_kb * kb)
+        yield self.host.execute(EC_DECODE_US_PER_KB * kb)
         self.stats["ec_decodes"] += 1
         chunks = {n: bytes(r) for n, r in zip(chosen, results)}
         return self.rs.decode(chunks, block_len)

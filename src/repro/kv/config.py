@@ -13,10 +13,32 @@ from repro.core.config import SiftConfig
 
 __all__ = ["KvConfig"]
 
+#: §6.2: "the index table has a maximum load factor of 12.5%".
+INDEX_LOAD_FACTOR = 0.125
+
+# -- Coordinator-side CPU costs (core-microseconds) ---------------------------
+#
+# Calibration constants (DESIGN.md §5): tuned so the Figure 7 saturation
+# curves put Sift's knee near 10 cores where Raft-R's is near 8 at the
+# same throughput — the provisioning deltas behind Table 2.  The per-op
+# cost covers validation, hashing, cache maintenance, verb
+# posting/completion handling and the per-op share of lease upkeep,
+# which is where the paper's Sift spends the extra cycles its stateless
+# design costs it (§6.3.2).
+
+#: Request handling per put/get (see calibration note above).
+OP_CPU_US = 8.0
+
+#: Cache lookup/insert.
+CACHE_CPU_US = 1.2
+
+#: Background work per applied put (chain bookkeeping).
+APPLY_CPU_US = 6.0
+
 
 @dataclass(frozen=True)
 class KvConfig:
-    """Geometry and cost knobs for one KV store instance."""
+    """Geometry and feature knobs for one KV store instance."""
 
     max_keys: int = 1_000_000
     """Capacity in key-value pairs (= number of data blocks)."""
@@ -26,9 +48,6 @@ class KvConfig:
 
     value_bytes: int = 992
     """§6.2: "a maximum value size of 992 bytes"."""
-
-    index_load_factor: float = 0.125
-    """§6.2: "the index table has a maximum load factor of 12.5%"."""
 
     cache_fraction: float = 0.5
     """§6.2: "the cache is set to hold up to 50% of the key-value pairs"."""
@@ -51,7 +70,7 @@ class KvConfig:
     When set, committing puts hand their encoded records to a flusher
     process that merges contiguous-sequence slots into one replicated
     write per extent — extending the WAL-append amortization of §4 to
-    the hot path: one ``rdma_post_us`` charge and one fan-out (and, with
+    the hot path: one ``RDMA_POST_US`` charge and one fan-out (and, with
     ``doorbell_batching``, one doorbell) per *extent* instead of per
     record.  Off by default: it changes simulated timings, so the
     committed figure baselines keep the per-record path."""
@@ -59,31 +78,12 @@ class KvConfig:
     coalesce_max: int = 16
     """Upper bound on records merged per flush (bounds ack latency)."""
 
-    # -- coordinator-side CPU costs (core-microseconds) -----------------------
-    #
-    # Calibration constants (DESIGN.md §5): tuned so the Figure 7
-    # saturation curves put Sift's knee near 10 cores where Raft-R's is
-    # near 8 at the same throughput — the provisioning deltas behind
-    # Table 2.  The per-op cost covers validation, hashing, cache
-    # maintenance, verb posting/completion handling and the per-op share
-    # of lease upkeep, which is where the paper's Sift spends the extra
-    # cycles its stateless design costs it (§6.3.2).
-
-    op_cpu_us: float = 8.0
-    """Request handling per put/get (see calibration note above)."""
-
-    cache_cpu_us: float = 1.2
-    """Cache lookup/insert."""
-
-    apply_cpu_us: float = 6.0
-    """Background work per applied put (chain bookkeeping)."""
-
     # -- derived ---------------------------------------------------------------
 
     @property
     def index_buckets(self) -> int:
         """Bucket count honouring the maximum load factor (power of two)."""
-        needed = int(self.max_keys / self.index_load_factor)
+        needed = int(self.max_keys / INDEX_LOAD_FACTOR)
         buckets = 1
         while buckets < needed:
             buckets *= 2

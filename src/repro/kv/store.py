@@ -42,7 +42,7 @@ from repro.core.locks import BlockLockTable, LockMode
 from repro.core.replicated_memory import NodeState, ReplicatedMemory
 from repro.storage.memory_node import REPMEM_REGION
 from repro.kv.cache import ValueCache
-from repro.kv.config import KvConfig
+from repro.kv.config import APPLY_CPU_US, CACHE_CPU_US, OP_CPU_US, KvConfig
 from repro.kv.layout import (
     OP_DELETE,
     OP_PUT,
@@ -370,7 +370,7 @@ class KvServer:
     def _local_put(self, key: bytes, value: bytes):
         """Process: the put body (admission, WAL commit); returns the seq."""
         self._check_record(key, value)
-        yield self.host.execute(self.config.op_cpu_us + self.config.cache_cpu_us)
+        yield self.host.execute(OP_CPU_US + CACHE_CPU_US)
         # Admission control: a put that may insert must have a block
         # available *now* — once the record is in the WAL and acked, the
         # applier can no longer refuse it.  Keys whose block is cached are
@@ -403,7 +403,7 @@ class KvServer:
         if hook is not None and hook.forwards(key):
             reply = yield from hook.forward("get", key)
             return reply
-        yield self.host.execute(self.config.op_cpu_us + self.config.cache_cpu_us)
+        yield self.host.execute(OP_CPU_US + CACHE_CPU_US)
         self.stats["gets"] += 1
         hit, value = self.cache.get(key)
         if hit:
@@ -421,7 +421,7 @@ class KvServer:
         if found is None:
             return Reply(("missing", None), 16)
         addr, image, _prev = found
-        yield self.host.execute(self.config.cache_cpu_us)
+        yield self.host.execute(CACHE_CPU_US)
         self.cache.fill(key, image.value, addr)
         return Reply(("ok", image.value), 16 + len(image.value))
 
@@ -439,7 +439,7 @@ class KvServer:
     def _local_delete(self, key: bytes):
         """Process: the delete body (tombstone WAL commit); returns the seq."""
         self._check_record(key, b"")
-        yield self.host.execute(self.config.op_cpu_us + self.config.cache_cpu_us)
+        yield self.host.execute(OP_CPU_US + CACHE_CPU_US)
         seq = self.next_seq
         self.next_seq += 1
         record = WalRecord(seq, OP_DELETE, bytes(key), b"", self.repmem.term)
@@ -677,7 +677,7 @@ class KvServer:
         bucket = self.layout.bucket_of(record.key)
         token = yield from self._bucket_locks.acquire([bucket], LockMode.WRITE)
         try:
-            yield self.host.execute(self.config.apply_cpu_us)
+            yield self.host.execute(APPLY_CPU_US)
             if record.op == OP_PUT:
                 yield from self._apply_put(bucket, record)
             else:

@@ -210,7 +210,9 @@ class Tracer:
 
     def to_dicts(self) -> List[Dict[str, Any]]:
         """Every span as a JSON-friendly dict, in recording order."""
-        return [s.to_dict() for s in self.spans]
+        # Copy first: building the dicts can trigger a garbage collection
+        # whose generator finalizers record spans into this tracer.
+        return [s.to_dict() for s in tuple(self.spans)]
 
     def render_tree(self, root: Optional[Span] = None, indent: str = "") -> str:
         """ASCII rendering of the causal tree (for humans and tests)."""

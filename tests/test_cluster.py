@@ -16,6 +16,7 @@ from repro.cluster import (
     simulate_backup_pool,
 )
 from repro.cluster.backups import sweep_backup_pool
+from repro.cluster.trace import BURST_SPREAD_S
 from repro.cluster.provision import TABLE2, deployment_machines
 
 
@@ -106,7 +107,7 @@ class TestTrace:
         events = generate_trace(config, seed=0)
         times = [event.time_s for event in events]
         assert times == sorted(times)
-        assert all(0 <= t <= config.duration_s + config.burst_spread_s for t in times)
+        assert all(0 <= t <= config.duration_s + BURST_SPREAD_S for t in times)
         assert all(0 <= event.machine < config.machines for event in events)
 
     def test_event_volume_plausible(self):
